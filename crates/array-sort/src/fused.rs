@@ -487,7 +487,7 @@ fn fused_kernel<K: SortKey>(
     let s = geom.samples_per_array;
     let threads = geom.block_threads(config, gpu.spec());
     let t_count = threads as usize;
-    let ws = gpu.spec().warp_size as usize;
+    let ws = gpu_sim::WARP_SIZE as usize;
     let dv = data.view();
     let zv = bucket_sizes.view();
     let geom = *geom;
@@ -1251,7 +1251,7 @@ mod tests {
     /// [`banks::conflict_degree`] of the group's destination addresses;
     /// and the scatter against stable counting-sort destinations.
     fn assert_tally<K: SortKey>(arr: &[K], ids: &[u32], p: usize, t_count: usize, what: &str) {
-        let ws = DeviceSpec::tesla_k40c().warp_size as usize;
+        let ws = gpu_sim::WARP_SIZE as usize;
         let mut offsets = vec![0usize; p + 1];
         for &j in ids {
             offsets[j as usize + 1] += 1;

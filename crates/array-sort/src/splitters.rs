@@ -187,10 +187,18 @@ pub(crate) fn deterministic_splitters<K: SortKey>(
         work.tile_sort.add(simulated_insertion_sort(tile));
         let m = tile.len();
         let q = per_tile.min(m);
-        for k in 1..=q {
-            // Upper end of the k-th of q equal-width rank stripes; the
-            // last candidate is the tile maximum.
-            candidates.push(tile[k * m / q - 1]);
+        // Upper ends ⌊k·m/q⌋ − 1 of q equal-width rank stripes (the last is
+        // the tile maximum), stepped by ⌊m/q⌋ with a carried remainder.
+        let (step, carry) = (m / q, m % q);
+        let (mut end, mut rem) = (0, 0);
+        for _ in 0..q {
+            end += step;
+            rem += carry;
+            if rem >= q {
+                rem -= q;
+                end += 1;
+            }
+            candidates.push(tile[end - 1]);
         }
     }
     let c = candidates.len();

@@ -215,11 +215,12 @@ pub fn cmd_sort(args: &Args) -> Result<String, AnyError> {
     let mut gpu = Gpu::new(spec);
     let original = data.clone();
     let mut recovery: Option<RecoveryReport> = None;
+    let stats = args.flag("stats");
 
     let (label, total_ms, kernel_ms, peak, stats_json) = match algorithm {
         "segsort" => {
             let s = thrust_sim::segmented::segmented_sort(&mut gpu, &mut data, array_len)?;
-            let j = serde_json::to_value(&s)?;
+            let j = stats.then(|| serde_json::to_value(&s)).transpose()?;
             (
                 "modern segmented sort",
                 s.total_ms(),
@@ -235,7 +236,7 @@ pub fn cmd_sort(args: &Args) -> Result<String, AnyError> {
                 array_len,
                 &ArraySortConfig::default(),
             )?;
-            let j = serde_json::to_value(&s)?;
+            let j = stats.then(|| serde_json::to_value(&s)).transpose()?;
             (
                 "m-way merge variant",
                 s.total_ms(),
@@ -263,11 +264,11 @@ pub fn cmd_sort(args: &Args) -> Result<String, AnyError> {
                     None => (0.0, gpu.ledger().peak()),
                 };
                 recovery = Some(report);
-                let j = stats_json(s.as_ref())?;
+                let j = stats.then(|| stats_json(s.as_ref())).transpose()?;
                 (recovering, gpu.elapsed_ms(), kernel_ms, peak, j)
             } else {
                 let s = variant.sort(&sorter, &mut gpu, &mut data, array_len)?;
-                let j = stats_json(Some(&s))?;
+                let j = stats.then(|| stats_json(Some(&s))).transpose()?;
                 (name, s.total_ms(), s.kernel_ms(), s.peak_bytes(), j)
             }
         }
@@ -288,23 +289,23 @@ pub fn cmd_sort(args: &Args) -> Result<String, AnyError> {
         write_trace_file(&gpu, std::path::Path::new(path))?;
     }
 
-    let mut report = serde_json::json!({
-        "algorithm": label,
-        "device": gpu.spec().name,
-        "num_arrays": data.len() / array_len,
-        "array_len": array_len,
-        "simulated_total_ms": total_ms,
-        "simulated_kernel_ms": kernel_ms,
-        "peak_device_bytes": peak,
-        "verified": args.flag("verify"),
-    });
-    if let Some(rec) = &recovery {
-        report["recovery"] = serde_json::to_value(rec)?;
-        report["injected_faults"] = serde_json::to_value(gpu.injected_faults())?;
-    }
     if args.flag("json") {
-        if args.flag("stats") {
-            report["stats"] = stats_json;
+        let mut report = serde_json::json!({
+            "algorithm": label,
+            "device": gpu.spec().name,
+            "num_arrays": data.len() / array_len,
+            "array_len": array_len,
+            "simulated_total_ms": total_ms,
+            "simulated_kernel_ms": kernel_ms,
+            "peak_device_bytes": peak,
+            "verified": args.flag("verify"),
+        });
+        if let Some(rec) = &recovery {
+            report["recovery"] = serde_json::to_value(rec)?;
+            report["injected_faults"] = serde_json::to_value(gpu.injected_faults())?;
+        }
+        if let Some(stats) = stats_json {
+            report["stats"] = stats;
         }
         Ok(serde_json::to_string_pretty(&report)?)
     } else {
@@ -331,9 +332,9 @@ pub fn cmd_sort(args: &Args) -> Result<String, AnyError> {
                 gpu.injected_faults().len()
             ));
         }
-        if args.flag("stats") {
+        if let Some(stats) = stats_json {
             out.push('\n');
-            out.push_str(&serde_json::to_string_pretty(&stats_json)?);
+            out.push_str(&serde_json::to_string_pretty(&stats)?);
         }
         Ok(out)
     }
@@ -417,7 +418,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, AnyError> {
     };
     let stats = variant.sort(&FusedSort::with_config(cfg)?, &mut gpu, &mut data, n)?;
 
-    let phases = gpu_sim::phase_summaries(gpu.timeline(), gpu.spec());
+    let phases = gpu_sim::phase_summaries(gpu.timeline());
     write_trace_file(&gpu, &trace_path)?;
 
     if args.flag("json") {

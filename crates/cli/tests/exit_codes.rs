@@ -49,6 +49,49 @@ fn success_paths_exit_zero() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+/// Without `--json` or `--stats`, `gas sort` prints one text line per
+/// report (plus the recovery line under `--faults`) and serializes nothing.
+#[test]
+fn plain_sort_prints_the_text_report() {
+    let f = fixture("plain.bin", "8", "64");
+    for algo in ["gas", "gas-warp", "sta", "segsort", "merge"] {
+        let out = gas(&[
+            "sort",
+            "--input",
+            &f,
+            "--array-len",
+            "64",
+            "--algorithm",
+            algo,
+            "--verify",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{algo}: {}", stderr(&out));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("8 arrays × 64 sorted in") && text.contains("verified ✓"),
+            "{algo}: {text}"
+        );
+        assert_eq!(text.lines().count(), 1, "{algo}: {text}");
+    }
+    let out = gas(&[
+        "sort",
+        "--input",
+        &f,
+        "--array-len",
+        "64",
+        "--faults",
+        "seed=1,launch-at=0",
+        "--verify",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("verified ✓"), "{text}");
+    assert!(
+        text.contains("\nrecovery: 1 device faults, 1 retries"),
+        "{text}"
+    );
+}
+
 #[test]
 fn parse_errors_exit_two() {
     // No subcommand at all is an argument-parse error.

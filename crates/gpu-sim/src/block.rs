@@ -19,7 +19,7 @@
 
 use crate::cost::{
     AccessPattern, ALU, ATOMIC_GLOBAL, ATOMIC_SHARED, DIVERGENCE, GLOBAL_LATENCY, SHARED_ACCESS,
-    SYNC, WARP_SHUFFLE, WARP_VOTE,
+    SYNC, WARP_SHUFFLE, WARP_SIZE, WARP_VOTE,
 };
 use crate::stats::Counters;
 
@@ -29,7 +29,6 @@ pub struct BlockCtx {
     block_idx: u32,
     grid_dim: u32,
     block_dim: u32,
-    warp_size: u32,
     warp_slots: u32,
     thrust_elem_cycles: f64,
     cycles: f64,
@@ -46,7 +45,6 @@ impl BlockCtx {
         block_idx: u32,
         grid_dim: u32,
         block_dim: u32,
-        warp_size: u32,
         warp_slots: u32,
         thrust_elem_cycles: f64,
     ) -> Self {
@@ -54,7 +52,6 @@ impl BlockCtx {
             block_idx,
             grid_dim,
             block_dim,
-            warp_size,
             warp_slots: warp_slots.max(1),
             thrust_elem_cycles,
             cycles: 0.0,
@@ -129,7 +126,7 @@ impl BlockCtx {
         // has at least one thread, so this is also the slowest warp.
         let warp = 0.0f64.max(one.cycles);
         let mut sum = 0.0f64;
-        for _ in 0..self.block_dim.div_ceil(self.warp_size) {
+        for _ in 0..self.block_dim.div_ceil(WARP_SIZE) {
             sum += warp;
         }
         self.close_phase(sum, warp);
@@ -155,7 +152,6 @@ impl BlockCtx {
             block_idx: self.block_idx,
             block_dim: self.block_dim,
             grid_dim: self.grid_dim,
-            warp_size: self.warp_size,
             thrust_elem_cycles: self.thrust_elem_cycles,
             cycles: 0.0,
             counters: Counters::default(),
@@ -163,10 +159,9 @@ impl BlockCtx {
     }
 
     fn fold_phase(&mut self) {
-        let ws = self.warp_size as usize;
         let mut sum = 0.0f64;
         let mut maxw = 0.0f64;
-        for warp in self.thread_cycles.chunks(ws) {
+        for warp in self.thread_cycles.chunks(WARP_SIZE as usize) {
             let w = warp.iter().copied().fold(0.0f64, f64::max);
             sum += w;
             if w > maxw {
@@ -207,7 +202,6 @@ pub struct ThreadCtx {
     block_idx: u32,
     block_dim: u32,
     grid_dim: u32,
-    warp_size: u32,
     thrust_elem_cycles: f64,
     cycles: f64,
     counters: Counters,
@@ -272,12 +266,12 @@ impl ThreadCtx {
     /// under `pattern`. Cost is the warp-amortized transaction bill.
     #[inline]
     pub fn charge_global(&mut self, elems: u64, elem_bytes: u32, pattern: AccessPattern) {
-        let per = pattern.global_cost_per_elem(elem_bytes, self.warp_size);
+        let per = pattern.global_cost_per_elem(elem_bytes);
         self.cycles += per * elems as f64;
         self.counters.global_elems += elems;
-        let txns_per_warp = pattern.warp_transactions(elem_bytes, self.warp_size);
+        let txns_per_warp = pattern.warp_transactions(elem_bytes);
         self.counters.global_txn_micro +=
-            (txns_per_warp as u64 * elems * 1_000_000) / self.warp_size as u64;
+            (txns_per_warp as u64 * elems * 1_000_000) / WARP_SIZE as u64;
     }
 
     /// Charges `accesses` *latency-bound* global accesses: serial code (a
@@ -348,11 +342,6 @@ impl ThreadCtx {
         self.counters.divergence_events += events;
     }
 
-    /// Threads per warp on this device (the lockstep fold width).
-    pub fn warp_size(&self) -> u32 {
-        self.warp_size
-    }
-
     /// Charges `n` warp-vote instructions (`ballot`/`match_any` class).
     /// Votes ride the register file: no shared accesses, no bank passes.
     #[inline]
@@ -379,12 +368,12 @@ impl ThreadCtx {
     }
 
     /// Charges one warp-exclusive prefix scan done with shuffles: the
-    /// Kogge–Stone ladder is `⌈log₂ warp_size⌉` shuffle + add steps per
+    /// Kogge–Stone ladder is `⌈log₂ WARP_SIZE⌉` shuffle + add steps per
     /// lane (see [`crate::block::warp::exclusive_sum`] for the value
     /// semantics this bill belongs to).
     #[inline]
     pub fn charge_warp_scan(&mut self) {
-        let steps = warp::scan_steps(self.warp_size) as u64;
+        let steps = warp::scan_steps() as u64;
         self.charge_warp_shuffle(steps);
         self.charge_alu(steps);
     }
@@ -407,6 +396,8 @@ impl ThreadCtx {
 /// scalar and obviously correct — `tests/warp.rs` property-checks the
 /// kernels' uses against them.
 pub mod warp {
+    use crate::cost::WARP_SIZE;
+
     /// `__ballot_sync`: bitmask of lanes whose predicate holds. Lane `i`
     /// of `preds` maps to bit `i`. Panics past 64 lanes (no real part has
     /// them).
@@ -441,11 +432,10 @@ pub mod warp {
             .collect()
     }
 
-    /// Steps of the Kogge–Stone shuffle ladder for a warp of `warp_size`
-    /// lanes: `⌈log₂ warp_size⌉` (0 for a single-lane warp).
-    pub fn scan_steps(warp_size: u32) -> u32 {
-        let ws = warp_size.max(1);
-        u32::BITS - (ws - 1).leading_zeros()
+    /// Steps of the Kogge–Stone shuffle ladder for a warp of
+    /// [`WARP_SIZE`] lanes: `⌈log₂ WARP_SIZE⌉`.
+    pub const fn scan_steps() -> u32 {
+        u32::BITS - (WARP_SIZE - 1).leading_zeros()
     }
 
     /// Number of *leader lanes* in a warp: lanes that are the lowest
@@ -466,7 +456,7 @@ mod tests {
     use crate::cost::THRUST_ELEM_CYCLES;
 
     fn block(block_dim: u32) -> BlockCtx {
-        BlockCtx::new(0, 1, block_dim, 32, 6, THRUST_ELEM_CYCLES)
+        BlockCtx::new(0, 1, block_dim, 6, THRUST_ELEM_CYCLES)
     }
 
     #[test]
@@ -545,7 +535,7 @@ mod tests {
         });
         let (cycles, counters) = b.finish();
         assert_eq!(counters.warp_votes, 32 * 3);
-        // scan = 5 shuffle steps at warp_size 32, plus the 2 explicit ones.
+        // scan = 5 shuffle steps at WARP_SIZE 32, plus the 2 explicit ones.
         assert_eq!(counters.warp_shuffles, 32 * (2 + 5));
         assert_eq!(counters.shared_accesses, 0, "no shared traffic");
         assert_eq!(counters.shared_bank_passes, 0, "no bank passes");
@@ -638,9 +628,7 @@ mod tests {
     fn warp_exclusive_sum_and_leaders() {
         assert_eq!(warp::exclusive_sum(&[3, 1, 4, 1]), vec![0, 3, 4, 8]);
         assert_eq!(warp::leader_count(&[7, 3, 7, 3, 9]), 3);
-        assert_eq!(warp::scan_steps(32), 5);
-        assert_eq!(warp::scan_steps(1), 0);
-        assert_eq!(warp::scan_steps(24), 5, "non-pow2 warps round up");
+        assert_eq!(warp::scan_steps(), 5);
     }
 
     /// One `charge_*` call of a tid-independent test closure.
@@ -785,7 +773,7 @@ mod tests {
 
     #[test]
     fn thread_identity_helpers() {
-        let mut b = BlockCtx::new(3, 8, 64, 32, 6, THRUST_ELEM_CYCLES);
+        let mut b = BlockCtx::new(3, 8, 64, 6, THRUST_ELEM_CYCLES);
         let mut seen = Vec::new();
         b.threads(|t| {
             if t.tid == 1 {

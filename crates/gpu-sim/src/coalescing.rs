@@ -80,7 +80,7 @@ impl AccessTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::AccessPattern;
+    use crate::cost::{AccessPattern, WARP_SIZE};
 
     #[test]
     fn contiguous_f32_warp_is_one_transaction() {
@@ -116,8 +116,8 @@ mod tests {
         // The cost model's Strided estimate should match the analyzer for
         // aligned bases across a range of strides.
         for stride_elems in [1u32, 2, 4, 8, 16, 32, 64] {
-            let declared = AccessPattern::Strided(stride_elems).warp_transactions(4, 32);
-            let exact = strided_transactions(0, stride_elems as u64 * 4, 32, 128);
+            let declared = AccessPattern::Strided(stride_elems).warp_transactions(4);
+            let exact = strided_transactions(0, stride_elems as u64 * 4, WARP_SIZE, 128);
             assert_eq!(
                 declared, exact,
                 "stride {stride_elems}: declared {declared} vs exact {exact}"

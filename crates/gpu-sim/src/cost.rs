@@ -5,7 +5,8 @@
 //! [`ThreadCtx`](crate::block::ThreadCtx)
 //! (see [`crate::block`]). The charges use the constants here; the one
 //! calibration a caller may set is the Thrust-era baseline's per-element
-//! cost ([`THRUST_ELEM_CYCLES`]).
+//! cost ([`THRUST_ELEM_CYCLES`]). What every modelled device shares (the
+//! warp width, the PCIe link, the launch overhead) is constant here too.
 //!
 //! The model is a throughput model in the SIMT style:
 //!
@@ -25,7 +26,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Consecutive threads read consecutive elements: the warp's accesses
-    /// land in `warp_size * elem_size / 128` segments (≥ 1).
+    /// land in `WARP_SIZE * elem_size / 128` segments (≥ 1).
     Coalesced,
     /// Consecutive threads are separated by `stride` elements; the warp
     /// spreads over proportionally more segments.
@@ -74,7 +75,7 @@ pub(crate) const SYNC: f64 = 8.0;
 pub(crate) const WARP_VOTE: f64 = 1.0;
 /// One warp-shuffle instruction (`__shfl_*_sync` class): a register
 /// exchange across lanes, same issue cost as a vote. A warp-exclusive
-/// prefix sum costs `⌈log₂ warp_size⌉` of these per lane
+/// prefix sum costs `⌈log₂ WARP_SIZE⌉` of these per lane
 /// ([`crate::block::ThreadCtx::charge_warp_scan`]).
 pub(crate) const WARP_SHUFFLE: f64 = 1.0;
 /// Extra cycles charged per divergent-branch event (both sides of the
@@ -93,6 +94,15 @@ pub(crate) const SEG_BYTES: u32 = 128;
 /// "stronger baseline" ablation.
 pub(crate) const THRUST_ELEM_CYCLES: f64 = 5_200.0;
 
+/// Threads per warp, the lockstep fold width: 32 on every NVIDIA part.
+pub const WARP_SIZE: u32 = 32;
+/// Host↔device bandwidth in GB/s (a PCIe 3.0 x16 link in practice).
+pub(crate) const PCIE_GB_PER_S: f64 = 12.0;
+/// Fixed latency of one host↔device transfer, in microseconds.
+pub(crate) const PCIE_LATENCY_US: f64 = 10.0;
+/// Fixed kernel-launch overhead in microseconds (driver + dispatch).
+pub(crate) const KERNEL_LAUNCH_US: f64 = 5.0;
+
 // A thread's shared-access and shared-atomic totals bill exactly what one
 // call per access would only while these costs are whole cycles (see
 // `ThreadCtx::charge_shared_conflicted`).
@@ -100,42 +110,42 @@ const _: () = assert!(SHARED_ACCESS == SHARED_ACCESS as u64 as f64);
 const _: () = assert!(ATOMIC_SHARED == ATOMIC_SHARED as u64 as f64);
 
 impl AccessPattern {
-    /// Number of 128-byte transactions a full warp of `warp_size` threads
-    /// issues for one access of `elem_bytes`-sized elements under this
-    /// pattern.
-    pub fn warp_transactions(self, elem_bytes: u32, warp_size: u32) -> u32 {
+    /// Number of 128-byte transactions a full warp of [`WARP_SIZE`]
+    /// threads issues for one access of `elem_bytes`-sized elements under
+    /// this pattern.
+    pub fn warp_transactions(self, elem_bytes: u32) -> u32 {
         match self {
             AccessPattern::Coalesced => {
-                // Contiguous span of warp_size * elem_bytes bytes.
-                warp_size
+                // Contiguous span of WARP_SIZE * elem_bytes bytes.
+                WARP_SIZE
                     .saturating_mul(elem_bytes)
                     .max(1)
                     .div_ceil(SEG_BYTES)
             }
             AccessPattern::Strided(stride) => {
                 let stride = stride.max(1);
-                let span = warp_size
+                let span = WARP_SIZE
                     .saturating_mul(elem_bytes)
                     .saturating_mul(stride)
                     .max(1);
-                span.div_ceil(SEG_BYTES).min(warp_size)
+                span.div_ceil(SEG_BYTES).min(WARP_SIZE)
             }
-            AccessPattern::Scattered => warp_size,
+            AccessPattern::Scattered => WARP_SIZE,
             AccessPattern::Broadcast => 1,
-            AccessPattern::SingleLaneSequential => warp_size
+            AccessPattern::SingleLaneSequential => WARP_SIZE
                 .saturating_mul(elem_bytes)
                 .max(1)
                 .div_ceil(SEG_BYTES)
                 .saturating_mul(4)
-                .min(warp_size),
+                .min(WARP_SIZE),
         }
     }
 
     /// Per-thread amortized cost (cycles) of one global access under this
     /// pattern: the warp's transaction bill divided across its threads.
-    pub(crate) fn global_cost_per_elem(self, elem_bytes: u32, warp_size: u32) -> f64 {
-        let txns = self.warp_transactions(elem_bytes, warp_size);
-        GLOBAL_TXN * txns as f64 / warp_size as f64
+    pub(crate) fn global_cost_per_elem(self, elem_bytes: u32) -> f64 {
+        let txns = self.warp_transactions(elem_bytes);
+        GLOBAL_TXN * txns as f64 / WARP_SIZE as f64
     }
 }
 
@@ -143,46 +153,44 @@ impl AccessPattern {
 mod tests {
     use super::*;
 
-    const W: u32 = 32;
-
     #[test]
     fn coalesced_f32_warp_is_one_transaction() {
         // 32 threads * 4 bytes = 128 bytes = exactly one segment.
-        assert_eq!(AccessPattern::Coalesced.warp_transactions(4, W), 1);
+        assert_eq!(AccessPattern::Coalesced.warp_transactions(4), 1);
     }
 
     #[test]
     fn coalesced_f64_warp_is_two_transactions() {
-        assert_eq!(AccessPattern::Coalesced.warp_transactions(8, W), 2);
+        assert_eq!(AccessPattern::Coalesced.warp_transactions(8), 2);
     }
 
     #[test]
     fn scattered_is_one_transaction_per_thread() {
-        assert_eq!(AccessPattern::Scattered.warp_transactions(4, W), 32);
+        assert_eq!(AccessPattern::Scattered.warp_transactions(4), 32);
     }
 
     #[test]
     fn strided_interpolates_and_saturates() {
-        let s2 = AccessPattern::Strided(2).warp_transactions(4, W);
-        let s8 = AccessPattern::Strided(8).warp_transactions(4, W);
-        let s64 = AccessPattern::Strided(64).warp_transactions(4, W);
+        let s2 = AccessPattern::Strided(2).warp_transactions(4);
+        let s8 = AccessPattern::Strided(8).warp_transactions(4);
+        let s64 = AccessPattern::Strided(64).warp_transactions(4);
         assert_eq!(s2, 2);
         assert_eq!(s8, 8);
-        assert_eq!(s64, 32, "stride past segment size saturates at warp_size");
+        assert_eq!(s64, 32, "stride past segment size saturates at WARP_SIZE");
         assert!(s2 < s8 && s8 <= s64);
     }
 
     #[test]
     fn broadcast_is_single_transaction() {
-        assert_eq!(AccessPattern::Broadcast.warp_transactions(4, W), 1);
-        assert_eq!(AccessPattern::Broadcast.warp_transactions(8, W), 1);
+        assert_eq!(AccessPattern::Broadcast.warp_transactions(4), 1);
+        assert_eq!(AccessPattern::Broadcast.warp_transactions(8), 1);
     }
 
     #[test]
     fn per_elem_cost_orders_patterns() {
-        let c = AccessPattern::Coalesced.global_cost_per_elem(4, W);
-        let s = AccessPattern::Strided(4).global_cost_per_elem(4, W);
-        let x = AccessPattern::Scattered.global_cost_per_elem(4, W);
+        let c = AccessPattern::Coalesced.global_cost_per_elem(4);
+        let s = AccessPattern::Strided(4).global_cost_per_elem(4);
+        let x = AccessPattern::Scattered.global_cost_per_elem(4);
         assert!(
             c < s && s < x,
             "coalesced {c} < strided {s} < scattered {x}"
@@ -195,16 +203,13 @@ mod tests {
 
     #[test]
     fn single_lane_sequential_sits_between_coalesced_and_scattered() {
-        let c = AccessPattern::Coalesced.global_cost_per_elem(4, W);
-        let l = AccessPattern::SingleLaneSequential.global_cost_per_elem(4, W);
-        let x = AccessPattern::Scattered.global_cost_per_elem(4, W);
+        let c = AccessPattern::Coalesced.global_cost_per_elem(4);
+        let l = AccessPattern::SingleLaneSequential.global_cost_per_elem(4);
+        let x = AccessPattern::Scattered.global_cost_per_elem(4);
         assert!(c < l && l < x, "{c} < {l} < {x}");
-        assert_eq!(
-            AccessPattern::SingleLaneSequential.warp_transactions(4, W),
-            4
-        );
-        // Wide elements saturate at warp_size like everything else.
-        assert!(AccessPattern::SingleLaneSequential.warp_transactions(256, W) <= W);
+        assert_eq!(AccessPattern::SingleLaneSequential.warp_transactions(4), 4);
+        // Wide elements saturate at WARP_SIZE like everything else.
+        assert!(AccessPattern::SingleLaneSequential.warp_transactions(256) <= WARP_SIZE);
     }
 
     #[test]
@@ -222,8 +227,8 @@ mod tests {
     #[test]
     fn stride_one_equals_coalesced() {
         assert_eq!(
-            AccessPattern::Strided(1).warp_transactions(4, W),
-            AccessPattern::Coalesced.warp_transactions(4, W)
+            AccessPattern::Strided(1).warp_transactions(4),
+            AccessPattern::Coalesced.warp_transactions(4)
         );
     }
 }

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::block::BlockCtx;
-use crate::cost::THRUST_ELEM_CYCLES;
+use crate::cost::{KERNEL_LAUNCH_US, THRUST_ELEM_CYCLES};
 use crate::error::{SimError, SimResult};
 use crate::faults::{corrupt_slice, FaultInjector, FaultKind, FaultPlan, InjectedFault};
 use crate::memory::{DeviceBuffer, MemoryLedger};
@@ -557,7 +557,7 @@ impl Gpu {
         if matches!(fault, Some(FaultKind::LaunchFailure)) {
             // Rejected before any block runs: no data effects, but the
             // driver round-trip (launch overhead) is still paid.
-            let overhead_ms = self.spec.kernel_launch_us / 1_000.0;
+            let overhead_ms = KERNEL_LAUNCH_US / 1_000.0;
             self.charge_lost_time("launch[failed]", Engine::Compute, overhead_ms);
             return Err(SimError::InjectedFault {
                 kind: FaultKind::LaunchFailure,
@@ -568,7 +568,7 @@ impl Gpu {
             // The device falls off the bus: the kernel never runs, the
             // driver round-trip is paid once, and the device is dead for
             // good — every later operation fails fast with this error.
-            let overhead_ms = self.spec.kernel_launch_us / 1_000.0;
+            let overhead_ms = KERNEL_LAUNCH_US / 1_000.0;
             self.charge_lost_time("launch[device-death]", Engine::Compute, overhead_ms);
             self.dead = true;
             return Err(Self::death_error(name));
@@ -576,7 +576,6 @@ impl Gpu {
         let stall_ms = self.stall_for(fault);
         let sm_count = self.spec.sm_count as usize;
         let warp_slots = self.spec.warp_slots();
-        let warp_size = self.spec.warp_size;
         let thrust_elem_cycles = self.thrust_elem_cycles;
 
         let agg = run_blocks(cfg.grid_dim, sm_count, |agg, block_idx| {
@@ -584,7 +583,6 @@ impl Gpu {
                 block_idx,
                 cfg.grid_dim,
                 cfg.block_dim,
-                warp_size,
                 warp_slots,
                 thrust_elem_cycles,
             );
@@ -603,8 +601,7 @@ impl Gpu {
         } else {
             1.0
         };
-        let time_ms =
-            self.spec.cycles_to_ms(cycles) + self.spec.kernel_launch_us / 1_000.0 + stall_ms;
+        let time_ms = self.spec.cycles_to_ms(cycles) + KERNEL_LAUNCH_US / 1_000.0 + stall_ms;
 
         let occ = crate::occupancy::occupancy(
             &self.spec,
@@ -820,14 +817,7 @@ mod tests {
             let (mut sm_cycles, mut counters, mut max_block) =
                 (vec![0u64; sms], Counters::default(), 0);
             for b in 0..grid {
-                let mut ctx = BlockCtx::new(
-                    b,
-                    grid,
-                    64,
-                    spec.warp_size,
-                    spec.warp_slots(),
-                    THRUST_ELEM_CYCLES,
-                );
+                let mut ctx = BlockCtx::new(b, grid, 64, spec.warp_slots(), THRUST_ELEM_CYCLES);
                 kernel(&mut ctx);
                 let (cycles, c) = ctx.finish();
                 sm_cycles[b as usize % sms] += cycles;
@@ -1161,7 +1151,7 @@ mod tests {
                 ..
             }
         ));
-        let overhead = g.spec().kernel_launch_us / 1_000.0;
+        let overhead = KERNEL_LAUNCH_US / 1_000.0;
         assert!((g.elapsed_ms() - overhead).abs() < 1e-12);
         assert!(
             g.timeline().kernels.is_empty(),
@@ -1323,7 +1313,7 @@ mod tests {
             }
         ));
         assert!(g.is_dead());
-        let overhead = g.spec().kernel_launch_us / 1_000.0;
+        let overhead = KERNEL_LAUNCH_US / 1_000.0;
         assert!((g.elapsed_ms() - overhead).abs() < 1e-12, "overhead billed");
         // Every later operation fails fast with the same error and does
         // NOT add injector log entries: one death, one fault.
@@ -1350,5 +1340,39 @@ mod tests {
             (g.elapsed_ms() - overhead).abs() < 1e-12,
             "fail-fast ops bill no time"
         );
+    }
+
+    /// Every preset's transfer times and one small launch's time, pinned
+    /// as `f64` bits. The transfer and launch expressions read the PCIe
+    /// and launch constants; reordering any of their float operations, or
+    /// the per-element global cost's, moves these bits.
+    #[test]
+    fn transfer_and_launch_times_are_pinned() {
+        // (transfer_ms of 0 B, 4 KiB and 8 MiB; time_ms of the launch).
+        const TRANSFERS: [u64; 3] = [0x3f847ae147ae147b, 0x3f852dd643b5a90c, 0x3fe6b08b06114a63];
+        let pins = [
+            (DeviceSpec::tesla_k40c(), 0x3f74cc839c5d9093),
+            (DeviceSpec::tesla_k20(), 0x3f74d1060d19a932),
+            (DeviceSpec::tesla_k80_die(), 0x3f74c062b747e19c),
+            (DeviceSpec::gtx_980(), 0x3f74b0e4540f16c8),
+            (DeviceSpec::test_device(), 0x3f74b7b28954a7f8),
+        ];
+        for (spec, launch_bits) in pins {
+            let transfers = [0, 4 << 10, 8 << 20].map(|bytes| spec.transfer_ms(bytes).to_bits());
+            assert_eq!(transfers, TRANSFERS, "{}", spec.name);
+            let mut g = Gpu::new(spec);
+            let k = g
+                .launch("pinned", LaunchConfig::grid(1, 64), |b| {
+                    b.threads(|t| {
+                        t.charge_global(3, 4, AccessPattern::Coalesced);
+                        t.charge_global(1, 4, AccessPattern::Scattered);
+                        t.charge_global(2, 8, AccessPattern::Strided(2));
+                        t.charge_alu(7);
+                    })
+                })
+                .unwrap();
+            assert_eq!(k.cycles, 58, "{}", g.spec().name);
+            assert_eq!(k.time_ms.to_bits(), launch_bits, "{}", g.spec().name);
+        }
     }
 }

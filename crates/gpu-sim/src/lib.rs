@@ -74,7 +74,7 @@ mod stream;
 mod trace;
 
 pub use block::{warp, BlockCtx, ThreadCtx};
-pub use cost::AccessPattern;
+pub use cost::{AccessPattern, WARP_SIZE};
 pub use error::{SimError, SimResult};
 pub use faults::{
     FaultInjector, FaultKind, FaultOp, FaultPlan, FaultSpecError, InjectedFault, ScriptedFault,

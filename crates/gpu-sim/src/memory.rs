@@ -7,16 +7,16 @@
 //! host-side storage — kernels move real data — while the *accounting* is
 //! what models the GPU.
 //!
-//! A dropped buffer's host storage is kept as its thread's spare block and
-//! backs the next buffer of the same layout. A loop that uploads the same
-//! batch shape again and again then reuses one block instead of asking
-//! `malloc` for it each time. Left to glibc, a freed block of a few MiB
-//! stays in the heap, where small allocations can split it; the next
-//! request then lands on fresh pages, and peak RSS grows by a whole block
-//! in some runs and not in others (DESIGN §6).
+//! A dropped buffer's host storage is kept as one of its thread's few
+//! spare blocks and backs the next buffer of the same layout. A batch loop
+//! then reuses its blocks instead of asking `malloc` for them each time.
+//! Left to glibc, a freed block of a few MiB is split by small allocations
+//! or given back to the system; the next request then faults in fresh
+//! pages, and peak RSS grows by a whole block in some runs (DESIGN §6).
 
 use std::alloc::Layout;
 use std::cell::{RefCell, UnsafeCell};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::ptr::NonNull;
@@ -215,14 +215,17 @@ impl<T> Drop for DeviceBuffer<T> {
     }
 }
 
-/// Largest block kept as a spare. glibc hands blocks above its 32 MiB
-/// ceiling for `mmap` straight back to the system when they are freed,
-/// so keeping them would hold memory the allocator gives up.
+/// Most bytes a thread keeps in spare blocks. glibc hands blocks above its
+/// 32 MiB ceiling for `mmap` straight back to the system when they are
+/// freed, so keeping them would hold memory the allocator gives up.
 const SPARE_MAX_BYTES: usize = 32 << 20;
 
+/// Most spare blocks a thread keeps: STA's batch drops four (DESIGN §6).
+const SPARE_MAX_BLOCKS: usize = 4;
+
 thread_local! {
-    /// The host storage of the last device buffer this thread dropped.
-    static SPARE: RefCell<Option<Spare>> = const { RefCell::new(None) };
+    /// The host storage of the last device buffers this thread dropped.
+    static SPARES: RefCell<VecDeque<Spare>> = const { RefCell::new(VecDeque::new()) };
 }
 
 /// A block from the global allocator, given back to it on drop.
@@ -239,14 +242,15 @@ impl Drop for Spare {
     }
 }
 
-/// An empty `Vec` on this thread's spare block, if the block has exactly
-/// the layout of `len` elements of `T`.
+/// An empty `Vec` on the newest of this thread's spare blocks that has
+/// exactly the layout of `len` elements of `T`, if there is one.
 fn take_spare<T>(len: usize) -> Option<Vec<T>> {
     let layout = Layout::array::<T>(len).ok()?;
-    let spare = SPARE
+    let spare = SPARES
         .try_with(|s| {
             let mut s = s.borrow_mut();
-            s.take_if(|spare| spare.layout == layout)
+            let i = s.iter().rposition(|spare| spare.layout == layout)?;
+            s.remove(i)
         })
         .ok()??;
     let spare = ManuallyDrop::new(spare);
@@ -256,8 +260,9 @@ fn take_spare<T>(len: usize) -> Option<Vec<T>> {
     Some(unsafe { Vec::from_raw_parts(spare.ptr.as_ptr().cast::<T>(), 0, len) })
 }
 
-/// Makes `v`'s block this thread's spare, freeing the previous one. `T`
-/// has no drop glue, so forgetting the elements is sound.
+/// Makes `v`'s block this thread's newest spare, freeing the oldest ones
+/// past [`SPARE_MAX_BLOCKS`] blocks or [`SPARE_MAX_BYTES`] bytes. `T` has
+/// no drop glue, so forgetting the elements is sound.
 fn keep_spare<T>(v: Vec<T>) {
     let Ok(layout) = Layout::array::<T>(v.capacity()) else {
         return;
@@ -271,7 +276,15 @@ fn keep_spare<T>(v: Vec<T>) {
         layout,
     };
     // During thread teardown the closure is not run and drops `spare`.
-    let _ = SPARE.try_with(move |s| *s.borrow_mut() = Some(spare));
+    let _ = SPARES.try_with(move |s| {
+        let mut s = s.borrow_mut();
+        s.push_back(spare);
+        while s.len() > SPARE_MAX_BLOCKS
+            || s.iter().map(|spare| spare.layout.size()).sum::<usize>() > SPARE_MAX_BYTES
+        {
+            s.pop_front();
+        }
+    });
 }
 
 /// An unsynchronized, cross-block view of device memory, mirroring what a
@@ -398,7 +411,7 @@ mod tests {
 
     #[test]
     fn a_dropped_buffer_backs_the_next_buffer_of_its_layout() {
-        let l = ledger(1 << 20);
+        let l = ledger(1 << 22);
         let mut a = DeviceBuffer::from_host(l.clone(), &[7u32; 64]).unwrap();
         let block = a.as_slice().as_ptr() as usize;
         drop(a);
@@ -416,6 +429,69 @@ mod tests {
         assert_eq!(d.as_slice(), &[3u32; 64]);
         drop((c, d));
         assert_eq!(l.used(), 0);
+
+        // STA's batch: the upload and the tags live across two radix
+        // sorts, and each sort allocates alternate keys and values and a
+        // small digit table, dropping the table first. All four big blocks
+        // back the next batch's four big buffers, refilled.
+        let len = 1 << 16;
+        let sta_batch = |host: &[f32]| {
+            let mut values = DeviceBuffer::from_host(l.clone(), host).unwrap();
+            let mut tags = DeviceBuffer::<u32>::zeroed(l.clone(), len).unwrap();
+            assert_eq!(values.as_slice(), host);
+            assert!(tags.as_slice().iter().all(|&x| x == 0));
+            tags.as_mut_slice().fill(9);
+            let mut blocks = vec![
+                values.as_slice().as_ptr() as usize,
+                tags.as_slice().as_ptr() as usize,
+            ];
+            for _ in 0..2 {
+                let mut alt_keys = DeviceBuffer::<f32>::zeroed(l.clone(), len).unwrap();
+                let mut alt_values = DeviceBuffer::<u32>::zeroed(l.clone(), len).unwrap();
+                let hist = DeviceBuffer::<u32>::zeroed(l.clone(), 256).unwrap();
+                assert!(alt_keys.as_slice().iter().all(|&x| x == 0.0));
+                assert!(alt_values.as_slice().iter().all(|&x| x == 0));
+                alt_values.as_mut_slice().fill(5);
+                blocks.push(alt_keys.as_slice().as_ptr() as usize);
+                blocks.push(alt_values.as_slice().as_ptr() as usize);
+                drop((hist, alt_values, alt_keys));
+            }
+            drop((tags, values));
+            blocks.sort_unstable();
+            blocks.dedup();
+            blocks
+        };
+        let first = sta_batch(&[1.0; 1 << 16]);
+        assert_eq!(first.len(), 4, "the second sort reuses the first's blocks");
+        assert_eq!(spare_sizes(), [len * 4; 4], "the digit table is evicted");
+        assert_eq!(sta_batch(&[2.0; 1 << 16]), first);
+        assert_eq!(l.used(), 0);
+    }
+
+    /// Sizes of this thread's spare blocks, oldest first.
+    fn spare_sizes() -> Vec<usize> {
+        SPARES.with(|s| s.borrow().iter().map(|s| s.layout.size()).collect())
+    }
+
+    #[test]
+    fn spares_are_capped_in_count_and_bytes() {
+        let l = ledger(1 << 30);
+        for len in [1, 2, 3, 4, 5] {
+            drop(DeviceBuffer::<u8>::zeroed(l.clone(), len).unwrap());
+        }
+        assert_eq!(spare_sizes(), [2, 3, 4, 5], "the oldest goes first");
+        // Too big to keep at all.
+        drop(DeviceBuffer::<u8>::zeroed(l.clone(), SPARE_MAX_BYTES + 1).unwrap());
+        assert_eq!(spare_sizes(), [2, 3, 4, 5]);
+        // Two 20 MiB blocks pass the byte cap together: the newer one
+        // evicts everything older.
+        let big = 20 << 20;
+        let a = DeviceBuffer::<u8>::zeroed(l.clone(), big).unwrap();
+        let b = DeviceBuffer::<u16>::zeroed(l.clone(), big / 2).unwrap();
+        drop(a);
+        assert_eq!(spare_sizes(), [3, 4, 5, big]);
+        drop(b);
+        assert_eq!(spare_sizes(), [big]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::cost::WARP_SIZE;
 use crate::spec::DeviceSpec;
 
 /// Per-kernel resource usage the calculator prices.
@@ -62,7 +63,7 @@ pub struct Occupancy {
 
 /// Computes the occupancy of a kernel with `res` on `spec`.
 pub fn occupancy(spec: &DeviceSpec, res: &KernelResources) -> Occupancy {
-    let warps_per_block = res.threads_per_block.div_ceil(spec.warp_size).max(1);
+    let warps_per_block = res.threads_per_block.div_ceil(WARP_SIZE).max(1);
 
     let by_blocks = spec.max_blocks_per_sm;
     let by_warps = spec.max_warps_per_sm / warps_per_block;

@@ -1,12 +1,15 @@
 //! Device specifications for the simulated GPUs.
 //!
-//! A [`DeviceSpec`] captures the architectural parameters the cost and
-//! capacity models depend on: SM/core counts, clock, memory sizes, warp
-//! geometry and PCIe link characteristics. Presets are provided for the
-//! hardware used in the paper (Tesla K40c) plus smaller devices that are
-//! convenient for tests.
+//! A [`DeviceSpec`] captures only what the modelled devices vary: SM/core
+//! counts, clock, memory sizes and per-SM residency limits. What every
+//! preset shares (the warp width [`WARP_SIZE`], the PCIe link and the
+//! launch overhead) is a constant beside the cycle costs in `cost.rs`.
+//! Presets are provided for the hardware used in the paper (Tesla K40c)
+//! plus smaller devices that are convenient for tests.
 
 use serde::{Deserialize, Serialize};
+
+use crate::cost::{PCIE_GB_PER_S, PCIE_LATENCY_US, WARP_SIZE};
 
 /// Architectural description of a simulated device.
 ///
@@ -20,7 +23,7 @@ pub struct DeviceSpec {
     pub name: String,
     /// Number of streaming multiprocessors.
     pub sm_count: u32,
-    /// CUDA cores per SM; `cores_per_sm / warp_size` warps issue per cycle.
+    /// CUDA cores per SM; `cores_per_sm / WARP_SIZE` warps issue per cycle.
     pub cores_per_sm: u32,
     /// Core clock in MHz; converts cycles to wall time.
     pub clock_mhz: u32,
@@ -31,8 +34,6 @@ pub struct DeviceSpec {
     pub reserved_bytes: u64,
     /// Shared memory available to one block, in bytes.
     pub shared_mem_per_block: u32,
-    /// Threads per warp (32 on every NVIDIA part).
-    pub warp_size: u32,
     /// Upper bound on threads in a single block.
     pub max_threads_per_block: u32,
     /// Upper bound on blocks concurrently resident on one SM.
@@ -47,12 +48,6 @@ pub struct DeviceSpec {
     /// denominator of per-kernel memory-utilization metrics.
     #[serde(default)]
     pub mem_gb_per_s: f64,
-    /// Host↔device bandwidth in GB/s (PCIe generation dependent).
-    pub pcie_gb_per_s: f64,
-    /// Fixed per-transfer latency in microseconds.
-    pub pcie_latency_us: f64,
-    /// Fixed kernel-launch overhead in microseconds (driver + dispatch).
-    pub kernel_launch_us: f64,
 }
 
 impl DeviceSpec {
@@ -68,16 +63,12 @@ impl DeviceSpec {
             global_mem_bytes: 11_520 * MIB,
             reserved_bytes: 256 * MIB,
             shared_mem_per_block: 48 * 1024,
-            warp_size: 32,
             max_threads_per_block: 1024,
             max_blocks_per_sm: 16,
             max_warps_per_sm: 64,
             registers_per_sm: 65_536,
             shared_mem_per_sm: 48 * 1024,
             mem_gb_per_s: 288.0,
-            pcie_gb_per_s: 12.0,
-            pcie_latency_us: 10.0,
-            kernel_launch_us: 5.0,
         }
     }
 
@@ -92,16 +83,12 @@ impl DeviceSpec {
             global_mem_bytes: 5_120 * MIB,
             reserved_bytes: 256 * MIB,
             shared_mem_per_block: 48 * 1024,
-            warp_size: 32,
             max_threads_per_block: 1024,
             max_blocks_per_sm: 16,
             max_warps_per_sm: 64,
             registers_per_sm: 65_536,
             shared_mem_per_sm: 48 * 1024,
             mem_gb_per_s: 208.0,
-            pcie_gb_per_s: 12.0,
-            pcie_latency_us: 10.0,
-            kernel_launch_us: 5.0,
         }
     }
 
@@ -116,16 +103,12 @@ impl DeviceSpec {
             global_mem_bytes: 12_288 * MIB,
             reserved_bytes: 256 * MIB,
             shared_mem_per_block: 48 * 1024,
-            warp_size: 32,
             max_threads_per_block: 1024,
             max_blocks_per_sm: 16,
             max_warps_per_sm: 64,
             registers_per_sm: 131_072,
             shared_mem_per_sm: 112 * 1024,
             mem_gb_per_s: 240.0,
-            pcie_gb_per_s: 12.0,
-            pcie_latency_us: 10.0,
-            kernel_launch_us: 5.0,
         }
     }
 
@@ -141,16 +124,12 @@ impl DeviceSpec {
             global_mem_bytes: 4_096 * MIB,
             reserved_bytes: 256 * MIB,
             shared_mem_per_block: 48 * 1024,
-            warp_size: 32,
             max_threads_per_block: 1024,
             max_blocks_per_sm: 32,
             max_warps_per_sm: 64,
             registers_per_sm: 65_536,
             shared_mem_per_sm: 96 * 1024,
             mem_gb_per_s: 224.0,
-            pcie_gb_per_s: 12.0,
-            pcie_latency_us: 10.0,
-            kernel_launch_us: 5.0,
         }
     }
 
@@ -165,24 +144,20 @@ impl DeviceSpec {
             global_mem_bytes: 64 * MIB,
             reserved_bytes: 4 * MIB,
             shared_mem_per_block: 16 * 1024,
-            warp_size: 32,
             max_threads_per_block: 256,
             max_blocks_per_sm: 8,
             max_warps_per_sm: 16,
             registers_per_sm: 16_384,
             shared_mem_per_sm: 16 * 1024,
             mem_gb_per_s: 100.0,
-            pcie_gb_per_s: 12.0,
-            pcie_latency_us: 10.0,
-            kernel_launch_us: 5.0,
         }
     }
 
     /// Number of warps an SM can issue concurrently (`cores_per_sm /
-    /// warp_size`); the makespan model schedules each block's warps over
+    /// WARP_SIZE`); the makespan model schedules each block's warps over
     /// this many slots.
     pub fn warp_slots(&self) -> u32 {
-        (self.cores_per_sm / self.warp_size).max(1)
+        (self.cores_per_sm / WARP_SIZE).max(1)
     }
 
     /// Global memory usable by allocations (total minus runtime reserve).
@@ -197,7 +172,7 @@ impl DeviceSpec {
 
     /// Time to move `bytes` across PCIe, in milliseconds (latency + bandwidth).
     pub fn transfer_ms(&self, bytes: u64) -> f64 {
-        self.pcie_latency_us / 1_000.0 + bytes as f64 / (self.pcie_gb_per_s * 1e9) * 1_000.0
+        PCIE_LATENCY_US / 1_000.0 + bytes as f64 / (PCIE_GB_PER_S * 1e9) * 1_000.0
     }
 }
 
@@ -254,12 +229,12 @@ mod tests {
             DeviceSpec::gtx_980(),
             DeviceSpec::test_device(),
         ] {
-            assert!(d.sm_count > 0 && d.warp_size == 32, "{}", d.name);
+            assert!(d.sm_count > 0, "{}", d.name);
             assert!(d.usable_mem_bytes() > 0, "{}", d.name);
             assert!(d.shared_mem_per_sm >= d.shared_mem_per_block, "{}", d.name);
-            assert!(d.mem_gb_per_s > d.pcie_gb_per_s, "{}", d.name);
+            assert!(d.mem_gb_per_s > PCIE_GB_PER_S, "{}", d.name);
             assert!(
-                d.max_warps_per_sm * d.warp_size >= d.max_threads_per_block,
+                d.max_warps_per_sm * WARP_SIZE >= d.max_threads_per_block,
                 "{}",
                 d.name
             );

@@ -21,6 +21,7 @@
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 
+use crate::cost::KERNEL_LAUNCH_US;
 use crate::spec::DeviceSpec;
 use crate::stats::{Timeline, TransferDir};
 
@@ -212,7 +213,7 @@ pub struct PhaseSummary {
     /// Total transfer time inside the span.
     pub transfer_ms: f64,
     /// Fixed launch overhead paid by the span's kernels
-    /// (`kernels × kernel_launch_us`).
+    /// (`kernels × KERNEL_LAUNCH_US`).
     pub launch_overhead_ms: f64,
     /// Bytes moved over PCIe inside the span (both directions).
     pub bytes_moved: u64,
@@ -242,7 +243,7 @@ pub struct PhaseSummary {
 /// Rolls `timeline` up into its top-level (depth-0) spans: each kernel or
 /// transfer is attributed to the span whose `[start, end)` window contains
 /// its start timestamp. Returns one summary per top-level span, in order.
-pub fn phase_summaries(timeline: &Timeline, spec: &DeviceSpec) -> Vec<PhaseSummary> {
+pub fn phase_summaries(timeline: &Timeline) -> Vec<PhaseSummary> {
     const EPS: f64 = 1e-9;
     let mut out: Vec<PhaseSummary> = timeline
         .top_spans()
@@ -273,7 +274,7 @@ pub fn phase_summaries(timeline: &Timeline, spec: &DeviceSpec) -> Vec<PhaseSumma
         if let Some(i) = find(&mut out, k.start_ms) {
             out[i].kernels += 1;
             out[i].kernel_ms += k.time_ms;
-            out[i].launch_overhead_ms += spec.kernel_launch_us / 1_000.0;
+            out[i].launch_overhead_ms += KERNEL_LAUNCH_US / 1_000.0;
         }
     }
     for t in &timeline.transfers {
@@ -416,7 +417,7 @@ mod tests {
     #[test]
     fn phase_summaries_attribute_work_and_cover_elapsed() {
         let g = traced_gpu();
-        let phases = phase_summaries(g.timeline(), g.spec());
+        let phases = phase_summaries(g.timeline());
         assert_eq!(phases.len(), 2);
         assert_eq!(phases[0].transfers, 1);
         assert_eq!(phases[0].kernels, 0);
@@ -425,16 +426,13 @@ mod tests {
         assert!(phases[0].bytes_moved == 4096 * 4);
         let total: f64 = phases.iter().map(|p| p.span_ms).sum();
         assert!((total - g.elapsed_ms()).abs() < 1e-9, "spans tile the run");
-        assert!(
-            (phases[1].launch_overhead_ms - 2.0 * g.spec().kernel_launch_us / 1_000.0).abs()
-                < 1e-12
-        );
+        assert!((phases[1].launch_overhead_ms - 2.0 * KERNEL_LAUNCH_US / 1_000.0).abs() < 1e-12);
     }
 
     #[test]
     fn phase_summaries_report_per_engine_occupancy() {
         let g = traced_gpu();
-        let phases = phase_summaries(g.timeline(), g.spec());
+        let phases = phase_summaries(g.timeline());
         // The upload span is pure H2D: its transfer time is all H2D and
         // the engine was busy the whole span.
         let up = &phases[0];
@@ -475,7 +473,7 @@ mod tests {
             start_ms: 5.0,
             stream: None,
         });
-        let phases = phase_summaries(&tl, &DeviceSpec::test_device());
+        let phases = phase_summaries(&tl);
         assert_eq!(phases[0].transfers, 0);
         assert_eq!(phases[0].bytes_moved, 0);
     }

@@ -5,13 +5,13 @@
 //! transaction counts match (or conservatively over-estimate) reality.
 
 use gpu_sim::coalescing::{strided_transactions, warp_transactions, AccessTrace};
-use gpu_sim::{banks, occupancy, AccessPattern, DeviceSpec, KernelResources};
+use gpu_sim::{banks, occupancy, AccessPattern, DeviceSpec, KernelResources, WARP_SIZE};
 
-const WARP: u32 = 32;
+const WARP: u32 = WARP_SIZE;
 const SEG: u64 = 128;
 
 fn declared(pattern: AccessPattern, elem_bytes: u32) -> u32 {
-    pattern.warp_transactions(elem_bytes, WARP)
+    pattern.warp_transactions(elem_bytes)
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn phase_occupancies_tell_the_papers_resource_story() {
 fn strided_analyzer_agrees_with_declared_for_every_power_of_two() {
     for stride in [1u32, 2, 4, 8, 16, 32] {
         let exact = strided_transactions(0, stride as u64 * 4, WARP, SEG);
-        let decl = AccessPattern::Strided(stride).warp_transactions(4, WARP);
+        let decl = AccessPattern::Strided(stride).warp_transactions(4);
         assert_eq!(decl, exact, "stride {stride}");
     }
 }

@@ -101,7 +101,7 @@ fn chrome_trace_of_a_real_sort_is_schema_valid() {
 #[test]
 fn phase_summaries_match_the_sort_and_cover_elapsed() {
     let gpu = gas_run();
-    let phases = phase_summaries(gpu.timeline(), gpu.spec());
+    let phases = phase_summaries(gpu.timeline());
     let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(
         names,

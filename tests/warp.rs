@@ -3,7 +3,7 @@
 //! the same seeded kernel launched twice must produce bit-identical
 //! [`KernelStats`], and a different seed must produce a different bill.
 
-use gpu_sim::{warp, DeviceSpec, Gpu, KernelStats, LaunchConfig};
+use gpu_sim::{warp, DeviceSpec, Gpu, KernelStats, LaunchConfig, WARP_SIZE};
 use proptest::prelude::*;
 
 /// Lane predicates for a warp of 1..=64 lanes.
@@ -112,18 +112,15 @@ proptest! {
     }
 }
 
-/// `scan_steps` is `⌈log₂ ws⌉` for every warp width up to 64, including
-/// non-powers-of-two, with the degenerate widths pinned.
+/// `scan_steps` is `⌈log₂ WARP_SIZE⌉`: the shuffle ladder's rungs
+/// 1, 2, 4, … stop at the first that reaches every lane.
 #[test]
 fn scan_steps_is_ceil_log2() {
-    assert_eq!(warp::scan_steps(0), 0, "zero-width warp clamps to one lane");
-    assert_eq!(warp::scan_steps(1), 0);
-    assert_eq!(warp::scan_steps(32), 5);
-    for ws in 1u32..=64 {
-        let expect = (ws as f64).log2().ceil() as u32;
-        assert_eq!(warp::scan_steps(ws), expect, "ws={ws}");
-        assert!(warp::scan_steps(ws) >= warp::scan_steps(ws.saturating_sub(1)));
-    }
+    let expect = (WARP_SIZE as f64).log2().ceil() as u32;
+    assert_eq!(warp::scan_steps(), expect);
+    assert_eq!(warp::scan_steps(), 5);
+    assert!(1u32 << warp::scan_steps() >= WARP_SIZE);
+    assert!(1u32 << (warp::scan_steps() - 1) < WARP_SIZE);
 }
 
 fn xorshift(mut x: u64) -> u64 {
