@@ -152,9 +152,12 @@ pub fn bucket_arrays<K: SortKey>(
         }
         arr.copy_from_slice(&staged);
 
-        // ---- Cost model: the phases the device executes.
+        // ---- Cost model: the phases the device executes. Phases L, P and
+        // W bill every thread alike, and so does C when each thread owns
+        // exactly one slot; S depends on each bucket's count.
+        block.record_bucket_overflow(overflowed);
         // Phase L: cooperative load of the boundary row into shared.
-        block.threads(|t| {
+        block.uniform_threads(|t| {
             let per = (geom.boundaries_per_array as u64).div_ceil(t_count as u64);
             t.charge_global(per, elem_bytes, AccessPattern::Coalesced);
             t.charge_shared(per);
@@ -164,31 +167,37 @@ pub fn bucket_arrays<K: SortKey>(
         // splitter-pair predicate is bucket-wide); all threads step through
         // the array in lockstep, so reads broadcast.
         let seg = n as u64;
-        block.threads(|t| {
-            if t.tid == 0 && overflowed > 0 {
-                t.record_bucket_overflow(overflowed);
-            }
-            for s in 0..slots_per_thread {
-                let slot = t.tid as u64 + s * t_count as u64;
-                if slot >= slots as u64 {
-                    break;
-                }
+        if k == 1 && slots == t_count {
+            // One slot per thread: every thread scans and stores one Z.
+            block.uniform_threads(|t| {
                 t.charge_global(seg, elem_bytes, AccessPattern::Broadcast);
                 t.charge_alu(3 * seg); // two compares + counter bump
-                if k > 1 {
-                    // Partial counts combined through shared atomics.
-                    t.charge_atomic_shared(1);
-                    t.charge_divergence(1);
+                t.charge_global(1, 4, AccessPattern::Coalesced);
+            });
+        } else {
+            block.threads(|t| {
+                for s in 0..slots_per_thread {
+                    let slot = t.tid as u64 + s * t_count as u64;
+                    if slot >= slots as u64 {
+                        break;
+                    }
+                    t.charge_global(seg, elem_bytes, AccessPattern::Broadcast);
+                    t.charge_alu(3 * seg); // two compares + counter bump
+                    if k > 1 {
+                        // Partial counts combined through shared atomics.
+                        t.charge_atomic_shared(1);
+                        t.charge_divergence(1);
+                    }
+                    // One Z store per bucket (slot segment 0 writes it).
+                    if (slot as usize).is_multiple_of(k) {
+                        t.charge_global(1, 4, AccessPattern::Coalesced);
+                    }
                 }
-                // One Z store per bucket (slot segment 0 writes it).
-                if (slot as usize).is_multiple_of(k) {
-                    t.charge_global(1, 4, AccessPattern::Coalesced);
-                }
-            }
-        });
+            });
+        }
 
         // Phase P: exclusive prefix of the p counts in shared memory.
-        block.threads(|t| {
+        block.uniform_threads(|t| {
             t.charge_shared(2 * log2p);
             t.charge_alu(log2p);
         });
@@ -221,7 +230,7 @@ pub fn bucket_arrays<K: SortKey>(
         // Phase W: cooperative write-back of the staged array over the
         // original global memory — coalesced, and parallel thanks to the
         // counts gathered in Phase C.
-        block.threads(|t| {
+        block.uniform_threads(|t| {
             let per = (n as u64).div_ceil(t_count as u64);
             match staging {
                 StagingStrategy::Shared => t.charge_shared(per),

@@ -14,7 +14,7 @@
 //!   same criterion as Phase 2's in-place staging — otherwise a bounded
 //!   global scratch).
 //!
-//! The `merge_variant` row of `repro-ablations` quantifies where each
+//! The `merge_variant` row of `repro ablations` quantifies where each
 //! side wins.
 
 use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimError, SimResult};

@@ -8,7 +8,7 @@
 //! CUDA kernel would read its segment descriptor. Blocks with short
 //! arrays finish early — the SM makespan model shows the resulting load
 //! imbalance, which is itself an interesting measurement
-//! (`repro-ablations` does not cover it; see the `ragged_spectra`
+//! (`repro ablations` does not cover it; see the `ragged_spectra`
 //! example).
 
 use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, LaunchConfig, SimError, SimResult};

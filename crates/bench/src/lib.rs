@@ -1,22 +1,24 @@
 //! # bench — the reproduction harness
 //!
 //! One driver per table/figure of the paper (`run_*`), plus result
-//! recording ([`write_json`], [`write_csv`]). The `repro-*` binaries wrap
-//! these and write artifacts into `results/`:
+//! recording ([`write_json`], [`write_csv`]). Two binaries wrap them:
 //!
-//! | binary | reproduces |
+//! | binary | does |
 //! |---|---|
-//! | `repro-fig2` | Fig. 2 — measured vs. theoretical time vs. n |
-//! | `repro-fig4to7` | Figs. 4–7 — time vs. N, GPU-ArraySort vs. STA |
-//! | `repro-table1` | Table 1 — data-handling capacity |
-//! | `repro-ablations` | §5.1/§5.2 design-choice ablations |
-//! | `repro-outofcore` | §9 out-of-core extension |
-//! | `repro-all` | everything above in sequence |
+//! | `repro fig2` | Fig. 2 — measured vs. theoretical time vs. n |
+//! | `repro fig4to7` | Figs. 4–7 — time vs. N, GPU-ArraySort vs. STA |
+//! | `repro table1` | Table 1 — data-handling capacity |
+//! | `repro ablations` | §5.1/§5.2 design-choice ablations |
+//! | `repro outofcore` | §9 out-of-core extension |
+//! | `repro beyond` | beyond-the-paper experiments |
+//! | `repro devices` | the same workload on every device preset |
+//! | `repro all` | the first six above in sequence |
 //! | `bench-smoke` | CI regression gate: quick Fig. 2 vs. `results/baseline-fig2.json` |
 //!
-//! All binaries accept `--scale <f>` (default 0.05: N shrunk 20×; array
-//! sizes n are never scaled) and `--full` (paper-scale axes; slow on a
-//! laptop but exact).
+//! `repro` writes its artifacts into `results/`. Every artifact but
+//! Table 1 reads `--scale <f>` (default 0.05: N shrunk 20×; array sizes n
+//! are never scaled) and `--full` (paper-scale axes; slow on a laptop but
+//! exact).
 
 #![warn(missing_docs)]
 
@@ -37,8 +39,8 @@ pub use experiments::{
 };
 pub use report::{default_out_dir, fmt_count, fmt_ms, markdown_table, write_csv, write_json};
 
-/// Parses the common `--scale`/`--full` CLI convention used by every
-/// repro binary; returns the scale factor.
+/// Parses `bench-smoke`'s `--scale`/`--full` flags; returns the scale
+/// factor.
 pub fn parse_scale(args: &[String], default_scale: f64) -> f64 {
     let mut scale = default_scale;
     let mut it = args.iter();

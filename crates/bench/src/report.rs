@@ -3,7 +3,7 @@
 //! stdout, into `results/`.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use serde::Serialize;
@@ -16,14 +16,20 @@ pub fn default_out_dir() -> PathBuf {
     root.join("results")
 }
 
-/// Serializes `value` as pretty JSON into `<out_dir>/<name>.json`.
-pub fn write_json<T: Serialize>(out_dir: &Path, name: &str, value: &T) -> std::io::Result<PathBuf> {
+/// Serializes `value` as pretty JSON into `<out_dir>/<name>.json`. The
+/// file is only touched once serialization has succeeded, so a failure
+/// leaves an existing file as it was.
+pub fn write_json<T: Serialize>(out_dir: &Path, name: &str, value: &T) -> io::Result<PathBuf> {
+    let body = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+    write_text(out_dir, &format!("{name}.json"), body)
+}
+
+/// Writes `body` and a newline into `<out_dir>/<file>`.
+fn write_text(out_dir: &Path, file: &str, mut body: String) -> io::Result<PathBuf> {
     fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("{name}.json"));
-    let mut f = fs::File::create(&path)?;
-    let body = serde_json::to_string_pretty(value).expect("serializable experiment result");
-    f.write_all(body.as_bytes())?;
-    f.write_all(b"\n")?;
+    let path = out_dir.join(file);
+    body.push('\n');
+    fs::write(&path, body)?;
     Ok(path)
 }
 
@@ -33,7 +39,7 @@ pub fn write_csv(
     name: &str,
     header: &[&str],
     rows: &[Vec<String>],
-) -> std::io::Result<PathBuf> {
+) -> io::Result<PathBuf> {
     fs::create_dir_all(out_dir)?;
     let path = out_dir.join(format!("{name}.csv"));
     let mut f = fs::File::create(&path)?;
@@ -67,24 +73,17 @@ pub fn fmt_ms(ms: f64) -> String {
 }
 
 /// Serializes `timeline` as Chrome trace-event JSON into
-/// `<out_dir>/<name>.trace.json` (loadable at <https://ui.perfetto.dev>).
+/// `<out_dir>/<name>.trace.json` (loadable at <https://ui.perfetto.dev>),
+/// touching the file only once serialization has succeeded.
 pub fn write_trace(
     out_dir: &Path,
     name: &str,
     timeline: &gpu_sim::Timeline,
     spec: &gpu_sim::DeviceSpec,
-) -> std::io::Result<PathBuf> {
-    fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("{name}.trace.json"));
+) -> io::Result<PathBuf> {
     let doc = gpu_sim::chrome_trace_json(timeline, spec);
-    let mut f = fs::File::create(&path)?;
-    f.write_all(
-        serde_json::to_string_pretty(&doc)
-            .expect("trace serializes")
-            .as_bytes(),
-    )?;
-    f.write_all(b"\n")?;
-    Ok(path)
+    let body = serde_json::to_string_pretty(&doc).map_err(io::Error::other)?;
+    write_text(out_dir, &format!("{name}.trace.json"), body)
 }
 
 /// Pretty large counts (1,234,567).
@@ -148,6 +147,20 @@ mod tests {
         let p = write_trace(&dir, "unit", g.timeline(), g.spec()).unwrap();
         let doc: serde_json::Value = serde_json::from_str(&fs::read_to_string(p).unwrap()).unwrap();
         assert!(doc["traceEvents"].as_array().unwrap().len() >= 2);
+    }
+
+    #[test]
+    fn a_failed_serialization_leaves_the_old_file_alone() {
+        let dir = std::env::temp_dir().join("gas_report_keep_test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kept.json");
+        fs::write(&path, "old bytes\n").unwrap();
+        // JSON object keys must be strings, so a map keyed by pairs has no
+        // JSON form.
+        let unserializable = std::collections::BTreeMap::from([((1u8, 2u8), 3u8)]);
+        let written = std::panic::catch_unwind(|| write_json(&dir, "kept", &unserializable));
+        assert!(!matches!(written, Ok(Ok(_))), "serialization must fail");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "old bytes\n");
     }
 
     #[test]

@@ -144,6 +144,14 @@ impl BlockCtx {
         self.cycles += t.cycles + SYNC;
     }
 
+    /// Records `n` bucket-overflow events for the block, as
+    /// [`ThreadCtx::record_bucket_overflow`] does for one thread: zero
+    /// cycles, so a phase that records one can still bill through
+    /// [`BlockCtx::uniform_threads`].
+    pub fn record_bucket_overflow(&mut self, n: u64) {
+        self.counters.bucket_overflows += n;
+    }
+
     /// A fresh [`ThreadCtx`] for thread `tid` of this block.
     #[inline]
     fn thread_ctx(&self, tid: u32) -> ThreadCtx {

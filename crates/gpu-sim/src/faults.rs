@@ -43,10 +43,6 @@
 //!   whose [`crate::SimError::is_transient`] is `false`). Only the
 //!   original death lands in the injector log; the fail-fast rejections
 //!   afterwards are consequences, not new faults.
-//!
-//! [`crate::Gpu::dtoh_copy`] is *not* an injection point: its infallible
-//! signature predates this module and is kept compatible. Fault-tolerant
-//! code paths use [`crate::Gpu::dtoh_into`].
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

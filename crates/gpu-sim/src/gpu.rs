@@ -70,7 +70,9 @@ pub struct BillMark(f64);
 /// })
 /// .unwrap();
 /// let mut buf = buf;
-/// assert_eq!(gpu.dtoh_copy(&mut buf), vec![6, 2, 4]);
+/// let mut out = [0u32; 3];
+/// gpu.dtoh_into(&mut buf, &mut out).unwrap();
+/// assert_eq!(out, [6, 2, 4]);
 /// assert!(gpu.elapsed_ms() > 0.0);
 /// ```
 pub struct Gpu {
@@ -417,17 +419,8 @@ impl Gpu {
         Ok(())
     }
 
-    /// Copies a device buffer back to the host, charging transfer time
-    /// (`cudaMemcpy` D→H). Not a fault-injection point (the infallible
-    /// signature predates [`FaultPlan`]); fault-tolerant code paths
-    /// use [`Gpu::dtoh_into`].
-    pub fn dtoh_copy<T: Clone>(&mut self, buf: &mut DeviceBuffer<T>) -> Vec<T> {
-        self.charge_transfer(TransferDir::DtoH, buf.size_bytes(), 0.0);
-        buf.to_host_vec()
-    }
-
     /// Copies a device buffer into an existing host slice, charging transfer
-    /// time.
+    /// time (`cudaMemcpy` D→H).
     pub fn dtoh_into<T: Copy>(
         &mut self,
         buf: &mut DeviceBuffer<T>,
@@ -886,8 +879,9 @@ mod tests {
         let mut g = gpu();
         let data = vec![1.0f32; 1024];
         let mut buf = g.htod_copy(&data).unwrap();
-        let back = g.dtoh_copy(&mut buf);
-        assert_eq!(back.len(), 1024);
+        let mut back = vec![0.0f32; 1024];
+        g.dtoh_into(&mut buf, &mut back).unwrap();
+        assert_eq!(back, data);
         assert_eq!(g.timeline().transfers.len(), 2);
         assert_eq!(g.timeline().htod_bytes(), 4096);
         assert!(g.elapsed_ms() >= 2.0 * 0.01, "two latency floors");
@@ -1000,7 +994,7 @@ mod tests {
             b.threads(|t| t.charge_alu(100))
         })
         .unwrap();
-        let _ = g.dtoh_copy(&mut buf);
+        g.dtoh_into(&mut buf, &mut [0.0f32; 1024]).unwrap();
         let tl = g.timeline();
         let up = &tl.transfers[0];
         let k = &tl.kernels[0];
@@ -1119,7 +1113,8 @@ mod tests {
                 });
             })
             .unwrap();
-            let out = g.dtoh_copy(&mut buf);
+            let mut out = vec![0u32; 4096];
+            g.dtoh_into(&mut buf, &mut out).unwrap();
             (out, g.elapsed_ms(), g.timeline().kernels[0].cycles)
         };
         let plain = run(None);

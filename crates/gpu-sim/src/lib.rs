@@ -51,7 +51,8 @@
 //! .unwrap();
 //!
 //! let mut buf = buf;
-//! let out = gpu.dtoh_copy(&mut buf);
+//! let mut out = vec![0.0f32; data.len()];
+//! gpu.dtoh_into(&mut buf, &mut out).unwrap();
 //! assert_eq!(out[0], data[0] * data[0]);
 //! println!("simulated time: {:.3} ms", gpu.elapsed_ms());
 //! ```

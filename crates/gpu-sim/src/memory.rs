@@ -199,8 +199,8 @@ impl<T> DeviceBuffer<T> {
 }
 
 impl<T: Clone> DeviceBuffer<T> {
-    /// Copies contents back to a host `Vec` (accounting only — transfer time
-    /// is charged by [`crate::gpu::Gpu::dtoh_copy`]).
+    /// Copies contents back to a host `Vec` without billing a transfer (a
+    /// billed D→H copy is [`crate::gpu::Gpu::dtoh_into`]).
     pub fn to_host_vec(&mut self) -> Vec<T> {
         self.as_slice().to_vec()
     }

@@ -57,7 +57,8 @@ pub struct Counters {
     pub warp_shuffles: u64,
     /// Bucket-overflow events observed by a bucketing kernel: buckets
     /// whose element count exceeded their thread group's capacity bound,
-    /// recorded via [`crate::block::ThreadCtx::record_bucket_overflow`].
+    /// recorded via [`crate::block::BlockCtx::record_bucket_overflow`] or
+    /// [`crate::block::ThreadCtx::record_bucket_overflow`].
     /// Pure bookkeeping (zero cycles): overflow must be *observable*, not
     /// a silent slow path.
     #[serde(default)]

@@ -14,7 +14,7 @@
 //! before warp folding) calibrates end-to-end throughput to ≈1 G
 //! elements/s on a Kepler part — the ballpark published for
 //! CUB/bb_segsort on segments of ~10³ keys. The experiment
-//! `repro-beyond` uses this to show where the paper's contribution stands
+//! `repro beyond` uses this to show where the paper's contribution stands
 //! against the technique that superseded it.
 
 use gpu_sim::{AccessPattern, DeviceBuffer, DeviceSpec, Gpu, LaunchConfig, SimError, SimResult};

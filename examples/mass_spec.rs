@@ -63,6 +63,6 @@ fn main() {
     println!(
         "\nNote: MS intensities are long-tailed, so bucket balance is worse than on\n\
          the paper's uniform data — exactly the regime the 10% regular sampling\n\
-         (ablation B, `repro-ablations --sampling-sweep`) is about."
+         (ablation B, `repro ablations --sampling-sweep`) is about."
     );
 }
