@@ -265,8 +265,8 @@ pub fn charge_insertion_work(t: &mut gpu_sim::ThreadCtx, work: InsertionWork) {
 }
 
 /// The per-thread "stage, sort, write back" primitive of every bucket
-/// sort that stages through shared memory — the three-kernel and ragged
-/// Phase 3s and the merge variant's chunk sort: loads a per-thread
+/// sort that stages through shared memory — the three-kernel Phase 3
+/// and the merge variant's chunk sort: loads a per-thread
 /// contiguous (warp-scattered) segment into shared memory, insertion-sorts
 /// it there, and stores it back, charging the exact traffic of each step.
 /// Returns the sort's work, which [`simulated_insertion_sort`] computes
@@ -286,41 +286,6 @@ pub fn charged_staged_insertion_sort<K: SortKey>(
     charge_insertion_work(t, work);
     t.charge_shared(len);
     t.charge_global(len, K::ELEM_BYTES, AccessPattern::Scattered);
-    work
-}
-
-/// Insertion sort over parallel key/value slices: `values[i]` follows
-/// `keys[i]` through every shift — the kernel primitive behind
-/// [`crate::pairs`] (sorting spectra by intensity while carrying m/z).
-/// Returns the exact work (each key move implies a value move; the cost
-/// model charges value traffic separately by element size).
-pub fn insertion_sort_pairs<K: SortKey, V: Copy>(
-    keys: &mut [K],
-    values: &mut [V],
-) -> InsertionWork {
-    assert_eq!(keys.len(), values.len(), "key/value length mismatch");
-    let mut work = InsertionWork::default();
-    for i in 1..keys.len() {
-        let xk = keys[i];
-        let xv = values[i];
-        let mut j = i;
-        while j > 0 {
-            work.comparisons += 1;
-            if xk.lt(keys[j - 1]) {
-                keys[j] = keys[j - 1];
-                values[j] = values[j - 1];
-                work.moves += 1;
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        if j != i {
-            keys[j] = xk;
-            values[j] = xv;
-            work.moves += 1;
-        }
-    }
     work
 }
 
@@ -555,35 +520,6 @@ mod tests {
         assert_exact_work::<u32>(lens());
         assert_exact_work::<i32>(lens());
         assert_exact_work::<u64>(lens());
-    }
-
-    #[test]
-    fn pairs_sort_carries_values_and_matches_key_only_work() {
-        let keys_in = vec![5u32, 3, 9, 1, 7, 3];
-        let vals_in = vec![50u32, 30, 90, 10, 70, 31];
-        let mut k = keys_in.clone();
-        let mut v = vals_in;
-        let wp = insertion_sort_pairs(&mut k, &mut v);
-        assert_eq!(k, vec![1, 3, 3, 5, 7, 9]);
-        assert_eq!(
-            v,
-            vec![10, 30, 31, 50, 70, 90],
-            "stable for equal keys, values follow"
-        );
-        let mut k2 = keys_in;
-        let wk = insertion_sort(&mut k2);
-        assert_eq!(
-            wp, wk,
-            "pair sort does the same comparisons/moves as key-only"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn pairs_sort_rejects_ragged_inputs() {
-        let mut k = [1u32, 2];
-        let mut v = [1u32];
-        insertion_sort_pairs(&mut k, &mut v);
     }
 
     #[test]

@@ -67,9 +67,7 @@ mod insertion;
 mod key;
 mod merge_variant;
 mod out_of_core;
-mod pairs;
 mod pipeline;
-mod ragged;
 mod recovery;
 pub mod resplit;
 pub mod sorting;
@@ -87,12 +85,10 @@ pub use merge_variant::{merge_sort_arrays, MergeVariantStats};
 pub use out_of_core::{
     sort_out_of_core, sort_out_of_core_streamed, ChunkStats, OocStats, StreamedOocStats,
 };
-pub use pairs::{sort_pairs, PairSortStats, PairValue};
 pub use pipeline::{DeviceRunStats, GasStats, GpuArraySort};
-pub use ragged::{sort_ragged, RaggedStats};
 pub use recovery::{
-    checkpointed_attempt, recover_batch_with, sort_out_of_core_recovering,
-    sort_ragged_with_recovery, ChunkRecovery, FailedAttempt, RecoveryReport, RetryPolicy,
+    checkpointed_attempt, recover_batch_with, sort_out_of_core_recovering, ChunkRecovery,
+    FailedAttempt, RecoveryReport, RetryPolicy,
 };
 pub use resplit::OverflowReport;
 pub use variant::{DeviceSort, Variant, VariantStats};

@@ -584,19 +584,18 @@ mod tests {
     }
 
     /// The launches of one run on a fresh device, after checking that it
-    /// sorted every segment `offsets` marks.
+    /// sorted every array of `n` keys.
     fn launches_of(
         data: &[f32],
-        offsets: &[usize],
+        n: usize,
         run: impl FnOnce(&mut Gpu, &mut Vec<f32>),
     ) -> Vec<gpu_sim::KernelStats> {
         let mut g = gpu();
         let mut out = data.to_vec();
         run(&mut g, &mut out);
-        for w in offsets.windows(2) {
-            let mut expect = data[w[0]..w[1]].to_vec();
+        for (got, array) in out.chunks(n).zip(data.chunks(n)) {
+            let mut expect = array.to_vec();
             expect.sort_by(f32::total_cmp);
-            let got = &out[w[0]..w[1]];
             assert!(got
                 .iter()
                 .zip(&expect)
@@ -612,30 +611,14 @@ mod tests {
         // Input: uniform data and the five skew shapes, twice each.
         let n = 1000;
         let data = skew_batch(12, n, 0x3C0DE);
-        let uniform: Vec<usize> = (0..=12).map(|i| i * n).collect();
-        let regular = launches_of(&data, &uniform, |g, d| {
+        let regular = launches_of(&data, n, |g, d| {
             GpuArraySort::new().sort(g, d, n).unwrap();
         });
-        let det = launches_of(&data, &uniform, |g, d| {
+        let det = launches_of(&data, n, |g, d| {
             det_sorter().sort(g, d, n).unwrap();
-        });
-        let pairs = launches_of(&data, &uniform, |g, d| {
-            let mut vals: Vec<u32> = (0..d.len() as u32).collect();
-            crate::pairs::sort_pairs(&GpuArraySort::new(), g, d, &mut vals, n).unwrap();
-        });
-        // Ragged: lengths from empty and singleton up to a full array.
-        let mut ragged_offsets = vec![0];
-        for len in [1000, 37, 0, 1, 500, 260, 999, 163, 20, 2000] {
-            ragged_offsets.push(ragged_offsets.last().unwrap() + len);
-        }
-        let ragged_data = &data[..*ragged_offsets.last().unwrap()];
-        let ragged = launches_of(ragged_data, &ragged_offsets, |g, d| {
-            crate::ragged::sort_ragged(&GpuArraySort::new(), g, d, &ragged_offsets).unwrap();
         });
         assert_bills("regular sampling", &regular, &REGULAR);
         assert_bills("deterministic", &det, &DET);
-        assert_bills("sort_pairs", &pairs, &PAIRS);
-        assert_bills("sort_ragged", &ragged, &RAGGED);
     }
 
     #[rustfmt::skip]
@@ -650,17 +633,5 @@ mod tests {
         ("gas_phase2_bucketing", 10137, 0x3f930da343f53684, [3603600, 32400, 1213800, 37931250000, 0, 0, 60, 0, 0, 32400, 0, 0, 18]),
         ("gas_resplit", 13003, 0x3f96fe19b6ce2873, [6768, 13536, 13572, 1696500000, 0, 0, 8, 0, 0, 13536, 0, 0, 0]),
         ("gas_phase3_bucket_sort", 2783, 0x3f81e3f46bd666f9, [19257, 60950, 10654, 10267125000, 0, 0, 12, 0, 0, 60950, 0, 0, 0]),
-    ];
-    #[rustfmt::skip]
-    const PAIRS: [Bill; 3] = [
-        ("gas_phase1_splitters", 26732, 0x3fa4ee783c47a927, [19353, 61843, 12612, 2112000000, 0, 0, 12, 0, 0, 61843, 0, 0, 0]),
-        ("gas_phase2_bucketing_pairs", 44197, 0x3fb077979aaedfdd, [3603600, 56400, 1237800, 50306250000, 0, 0, 60, 0, 0, 56400, 0, 0, 0]),
-        ("gas_phase3_bucket_sort_pairs", 141008, 0x3fc8ddebb4f97735, [41115, 186292, 48600, 48018750000, 0, 0, 12, 0, 0, 186292, 0, 0, 0]),
-    ];
-    #[rustfmt::skip]
-    const RAGGED: [Bill; 3] = [
-        ("gas_ragged_phase1", 43893, 0x3fb05cd9996c8f7d, [7700, 25888, 5255, 881750000, 0, 0, 9, 0, 0, 25888, 0, 0, 0]),
-        ("gas_ragged_phase2", 17279, 0x3f9cdeb391da744a, [1897158, 10280, 637934, 19935437500, 0, 0, 27, 0, 0, 10280, 0, 0, 0]),
-        ("gas_ragged_phase3", 43589, 0x3fb0421b982a3f1d, [17628, 56446, 10206, 9965750000, 0, 0, 9, 0, 0, 56446, 0, 0, 0]),
     ];
 }

@@ -41,7 +41,6 @@ use crate::cpu_ref;
 use crate::key::SortKey;
 use crate::out_of_core::{sort_chunks, OocStats};
 use crate::pipeline::{GasStats, GpuArraySort};
-use crate::ragged::{sort_ragged, RaggedStats};
 
 /// How hard to fight for a chunk before giving up on the device. After
 /// the last failed attempt the chunk is sorted on the host with
@@ -212,22 +211,24 @@ pub fn checkpointed_attempt<K: SortKey, S>(
     }
 }
 
-/// Sorts `slice` with checkpoint/retry/fallback around an arbitrary
-/// device attempt. The first attempt runs inside a span named `label` (so
-/// clean traces look exactly like the non-recovering path); retries and
-/// the fallback get `recovery/…` spans. Fatal errors propagate
-/// immediately — retrying cannot help — with `slice` already rolled back.
+/// Sorts `slice` (arrays of `array_len` keys) with checkpoint/retry/
+/// fallback around an arbitrary device attempt; the fallback is the
+/// [`crate::cpu_ref`] host sorter. The first attempt runs inside a span
+/// named `label` (so clean traces look exactly like the non-recovering
+/// path); retries and the fallback get `recovery/…` spans. Fatal errors
+/// propagate immediately — retrying cannot help — with `slice` already
+/// rolled back.
 /// A permanent injected fault (device death) is counted once and ends the
 /// retry loop; a device that is already dead is skipped without counting
 /// anything, so `device_faults` stays 1:1 with the injector's own log.
 fn recover_core<K: SortKey, S>(
     gpu: &mut Gpu,
     slice: &mut [K],
+    array_len: usize,
     policy: &RetryPolicy,
     chunk_idx: usize,
     label: &str,
     mut attempt: impl FnMut(&mut Gpu, &mut [K]) -> SimResult<S>,
-    fallback: impl FnOnce(&mut [K]),
 ) -> SimResult<(Option<S>, ChunkRecovery)> {
     let max_attempts = policy.max_attempts.max(1);
     let checkpoint = slice.to_vec();
@@ -271,32 +272,10 @@ fn recover_core<K: SortKey, S>(
     }
     // Degradation ladder's last rung: the host sorter cannot fault.
     let span = gpu.begin_span(&format!("recovery/{label}/cpu-fallback"));
-    fallback(slice);
+    cpu_ref::sort_arrays_seq(slice, array_len);
     gpu.end_span(span);
     rec.cpu_fallback = true;
     Ok((None, rec))
-}
-
-/// [`recover_core`] specialised to the GAS pipeline with the
-/// [`crate::cpu_ref`] host sorter as the fallback.
-fn recover_slice<K: SortKey>(
-    sorter: &GpuArraySort,
-    gpu: &mut Gpu,
-    slice: &mut [K],
-    array_len: usize,
-    policy: &RetryPolicy,
-    chunk_idx: usize,
-    label: &str,
-) -> SimResult<(Option<GasStats>, ChunkRecovery)> {
-    recover_core(
-        gpu,
-        slice,
-        policy,
-        chunk_idx,
-        label,
-        |g, d| sorter.sort(g, d, array_len),
-        |d| cpu_ref::sort_arrays_seq(d, array_len),
-    )
 }
 
 /// Checkpoint/retry/fallback around an arbitrary device sort of a
@@ -321,42 +300,8 @@ pub fn recover_batch_with<K: SortKey, S>(
             ),
         });
     }
-    let (stats, rec) = recover_core(gpu, data, policy, 0, label, attempt, |d| {
-        cpu_ref::sort_arrays_seq(d, array_len)
-    })?;
+    let (stats, rec) = recover_core(gpu, data, array_len, policy, 0, label, attempt)?;
     Ok((stats, RecoveryReport { chunks: vec![rec] }))
-}
-
-/// [`crate::ragged::sort_ragged`] with checkpoint/retry/fallback: a
-/// faulted ragged batch is rolled back to its checkpoint and reissued,
-/// and when the device attempts are exhausted each segment is sorted on
-/// the host instead. Returns the usual [`RaggedStats`] when a device
-/// attempt succeeded (`None` after host fallback) plus the report.
-pub fn sort_ragged_with_recovery<K: SortKey>(
-    sorter: &GpuArraySort,
-    gpu: &mut Gpu,
-    data: &mut [K],
-    offsets: &[usize],
-    policy: &RetryPolicy,
-) -> SimResult<(Option<RaggedStats>, RecoveryReport)> {
-    let (stats, rec) = recover_core(
-        gpu,
-        data,
-        policy,
-        0,
-        "ragged/batch",
-        |g, d| sort_ragged(sorter, g, d, offsets),
-        |d| host_sort_ragged(d, offsets),
-    )?;
-    Ok((stats, RecoveryReport { chunks: vec![rec] }))
-}
-
-/// Host oracle for a ragged batch: each `[offsets[i], offsets[i+1])`
-/// segment sorted under the key's total order.
-fn host_sort_ragged<K: SortKey>(data: &mut [K], offsets: &[usize]) {
-    for w in offsets.windows(2) {
-        data[w[0]..w[1]].sort_by(|a, b| a.total_order(*b));
-    }
 }
 
 impl GpuArraySort {
@@ -375,7 +320,9 @@ impl GpuArraySort {
         array_len: usize,
         policy: &RetryPolicy,
     ) -> SimResult<(Option<GasStats>, RecoveryReport)> {
-        let (stats, rec) = recover_slice(self, gpu, data, array_len, policy, 0, "gas/batch")?;
+        let (stats, rec) = recover_core(gpu, data, array_len, policy, 0, "gas/batch", |g, d| {
+            self.sort(g, d, array_len)
+        })?;
         Ok((stats, RecoveryReport { chunks: vec![rec] }))
     }
 }
@@ -398,7 +345,9 @@ pub fn sort_out_of_core_recovering<K: SortKey>(
 ) -> SimResult<(OocStats, RecoveryReport)> {
     let mut recoveries = Vec::new();
     let stats = sort_chunks(sorter, gpu, data, array_len, |gpu, chunk, i, label| {
-        let (stats, rec) = recover_slice(sorter, gpu, chunk, array_len, policy, i, label)?;
+        let (stats, rec) = recover_core(gpu, chunk, array_len, policy, i, label, |g, d| {
+            sorter.sort(g, d, array_len)
+        })?;
         recoveries.push(rec);
         Ok(stats)
     })?;
@@ -754,104 +703,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(!err.is_transient());
-    }
-
-    fn ragged_fixture() -> (Vec<f32>, Vec<usize>) {
-        let offsets = vec![0, 40, 41, 141, 205];
-        let total = *offsets.last().unwrap();
-        let data: Vec<f32> = (0..total).rev().map(|x| x as f32).collect();
-        (data, offsets)
-    }
-
-    fn ragged_sorted(data: &[f32], offsets: &[usize]) -> bool {
-        offsets
-            .windows(2)
-            .all(|w| data[w[0]..w[1]].windows(2).all(|p| p[0].le(p[1])))
-    }
-
-    #[test]
-    fn ragged_recovery_retries_transient_faults() {
-        let (mut data, offsets) = ragged_fixture();
-        let mut g = gpu();
-        g.set_fault_plan(Some(FaultPlan::seeded(4).with_scripted(
-            FaultOp::Launch,
-            0,
-            FaultKind::LaunchFailure,
-        )));
-        let (stats, report) = sort_ragged_with_recovery(
-            &GpuArraySort::new(),
-            &mut g,
-            &mut data,
-            &offsets,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert!(stats.is_some(), "second device attempt succeeds");
-        assert!(ragged_sorted(&data, &offsets));
-        assert_eq!(report.retries(), 1);
-        assert!(g
-            .timeline()
-            .spans
-            .iter()
-            .any(|s| s.name == "recovery/ragged/batch/retry-1"));
-    }
-
-    #[test]
-    fn ragged_recovery_degrades_to_host_per_segment() {
-        let (mut data, offsets) = ragged_fixture();
-        let original = data.clone();
-        let mut g = gpu();
-        g.set_fault_plan(Some(FaultPlan::seeded(2).with_launch_failure(1.0)));
-        let (stats, report) = sort_ragged_with_recovery(
-            &GpuArraySort::new(),
-            &mut g,
-            &mut data,
-            &offsets,
-            &RetryPolicy::default().with_max_attempts(2),
-        )
-        .unwrap();
-        assert!(stats.is_none());
-        assert!(ragged_sorted(&data, &offsets));
-        // Same multiset per segment as the input.
-        for w in offsets.windows(2) {
-            let mut seg: Vec<f32> = original[w[0]..w[1]].to_vec();
-            seg.sort_by(|a, b| a.total_cmp(b));
-            assert_eq!(&data[w[0]..w[1]], seg.as_slice());
-        }
-        assert_eq!(report.cpu_fallbacks(), 1);
-        assert_eq!(report.device_faults(), 2);
-        assert!(g
-            .timeline()
-            .spans
-            .iter()
-            .any(|s| s.name == "recovery/ragged/batch/cpu-fallback"));
-    }
-
-    #[test]
-    fn ragged_recovery_clean_run_matches_plain() {
-        let (data0, offsets) = ragged_fixture();
-        let mut plain_data = data0.clone();
-        let mut plain_gpu = gpu();
-        let plain = crate::ragged::sort_ragged(
-            &GpuArraySort::new(),
-            &mut plain_gpu,
-            &mut plain_data,
-            &offsets,
-        )
-        .unwrap();
-        let mut rec_data = data0;
-        let mut rec_gpu = gpu();
-        let (stats, report) = sort_ragged_with_recovery(
-            &GpuArraySort::new(),
-            &mut rec_gpu,
-            &mut rec_data,
-            &offsets,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(plain_data, rec_data);
-        assert_eq!(plain_gpu.elapsed_ms(), rec_gpu.elapsed_ms());
-        assert_eq!(plain.total_ms(), stats.unwrap().total_ms());
-        assert!(report.is_clean());
     }
 }

@@ -28,7 +28,7 @@
 //!
 //! [`bucket_index`] defines the one splitter search of every pipeline;
 //! `bucket_ids` is its fast path, run once per element for the count
-//! and scatter passes of each Phase 2.
+//! and scatter passes of the three-kernel Phase 2 and the fused kernel.
 
 use gpu_sim::{AccessPattern, DeviceBuffer, Gpu, KernelStats, LaunchConfig, SimResult};
 use serde::{Deserialize, Serialize};
@@ -57,9 +57,9 @@ pub enum Phase1Strategy {
 /// last bucket).
 ///
 /// This is the **reference** definition of the splitter search every
-/// variant shares — the three-kernel Phase 2, the fused kernel, pairs
-/// and ragged batches all bucket by it, so boundary and NaN tie-breaking
-/// can never drift between pipelines. Their per-element fast path is
+/// variant shares — the three-kernel Phase 2 and the fused kernel both
+/// bucket by it, so boundary and NaN tie-breaking can never drift
+/// between pipelines. Their per-element fast path is
 /// `bucket_ids`, which the tests hold to this function.
 #[inline]
 pub fn bucket_index<K: SortKey>(bounds: &[K], x: K) -> usize {

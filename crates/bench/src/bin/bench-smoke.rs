@@ -21,7 +21,8 @@
 //!
 //! `--update` (or a checked-in `{"bootstrap": true}` sentinel) records
 //! the current numbers instead of comparing; commit the rewritten
-//! baseline together with the change that moved it.
+//! baseline together with the change that moved it. An unknown flag, a
+//! missing value or a value that does not parse exits 2 with the usage.
 //!
 //! The run also enforces the **streaming serving gate** — on a canned
 //! high-QPS burst of small requests, the coalescing + overlap dispatch
@@ -35,7 +36,7 @@ use std::process::ExitCode;
 
 use bench::{
     default_out_dir, fused_speed_gate, record_or_compare, run_fig2_traced, run_warp_ablation,
-    Fig2Baseline, GateOutcome,
+    value, Fig2Baseline, GateOutcome,
 };
 use scheduler::{
     parse_mix, Algorithm, Priority, SchedulerConfig, ServiceReport, SortRequest, SortService,
@@ -78,34 +79,57 @@ fn run_serving(workload: &Workload, streamed: bool) -> Result<ServiceReport, Str
     service.run(workload)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = bench::parse_scale(&args, 0.02);
-    let mut baseline_path = default_out_dir().join("baseline-fig2.json");
-    let mut tolerance = 0.02;
-    let mut trace_dir: Option<PathBuf> = None;
-    let mut update = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => {
-                if let Some(v) = it.next() {
-                    baseline_path = PathBuf::from(v);
-                }
-            }
-            "--tolerance" => {
-                if let Some(v) = it.next() {
-                    tolerance = v.parse().unwrap_or_else(|_| {
-                        eprintln!("bad --tolerance {v:?}, using 0.02");
-                        0.02
-                    });
-                }
-            }
-            "--trace-dir" => trace_dir = it.next().map(PathBuf::from),
-            "--update" => update = true,
-            _ => {}
+const USAGE: &str = "usage: bench-smoke [--scale f | --full] [--tolerance f] [--baseline PATH] \
+                     [--trace-dir DIR] [--update]";
+
+/// One parsed invocation.
+#[derive(Debug, PartialEq)]
+struct Smoke {
+    scale: f64,
+    tolerance: f64,
+    baseline_path: PathBuf,
+    trace_dir: Option<PathBuf>,
+    update: bool,
+}
+
+fn parse(args: &[String]) -> Result<Smoke, String> {
+    let mut smoke = Smoke {
+        scale: 0.02,
+        tolerance: 0.02,
+        baseline_path: default_out_dir().join("baseline-fig2.json"),
+        trace_dir: None,
+        update: false,
+    };
+    let mut flags = args.iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--full" => smoke.scale = 1.0,
+            "--scale" => smoke.scale = value(flag, flags.next())?,
+            "--tolerance" => smoke.tolerance = value(flag, flags.next())?,
+            "--baseline" => smoke.baseline_path = value(flag, flags.next())?,
+            "--trace-dir" => smoke.trace_dir = Some(value(flag, flags.next())?),
+            "--update" => smoke.update = true,
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
+    Ok(smoke)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Smoke {
+        scale,
+        tolerance,
+        baseline_path,
+        trace_dir,
+        update,
+    } = match parse(&args) {
+        Ok(smoke) => smoke,
+        Err(e) => {
+            eprintln!("bench-smoke: {e}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     println!(
         "# bench-smoke — Fig. 2 regression gate (scale {scale}, tolerance ±{:.0}%)\n",
@@ -292,5 +316,47 @@ fn main() -> ExitCode {
             );
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(line: &str) -> Result<Smoke, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn typos_are_rejected_and_the_ci_invocations_parse() {
+        for line in [
+            "--tolerence 0.05",
+            "--scale O.02",
+            "--tolerance",
+            "--tolerance 2%",
+            "--baseline",
+            "--trace-dir",
+            "0.02",
+        ] {
+            assert!(parse_str(line).is_err(), "{line:?} must be rejected");
+        }
+        let gate = parse_str("--tolerance 0.02 --trace-dir bench-traces").unwrap();
+        assert_eq!(
+            gate,
+            Smoke {
+                scale: 0.02,
+                tolerance: 0.02,
+                baseline_path: PathBuf::from("results/baseline-fig2.json"),
+                trace_dir: Some(PathBuf::from("bench-traces")),
+                update: false,
+            }
+        );
+        let record = parse_str("--update").unwrap();
+        assert!(record.update);
+        assert_eq!(record.trace_dir, None);
+        // The last of --scale and --full wins.
+        assert_eq!(parse_str("--scale 0.2 --full").unwrap().scale, 1.0);
+        assert_eq!(parse_str("--full --scale 0.2").unwrap().scale, 0.2);
     }
 }

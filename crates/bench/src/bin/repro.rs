@@ -19,7 +19,7 @@ use bench::{
     run_baseline_sensitivity, run_beyond, run_bucket_ablation, run_device_sweep, run_fig2_traced,
     run_fused_ablation, run_merge_ablation, run_outofcore_traced, run_runtime_figure_traced,
     run_sampling_ablation, run_skew, run_splitter_ablation, run_table1, run_threads_ablation,
-    run_warp_ablation, write_csv, write_json, FIG4TO7_SIZES,
+    run_warp_ablation, value, write_csv, write_json, FIG4TO7_SIZES,
 };
 use serde::Serialize;
 
@@ -112,12 +112,6 @@ fn parse(args: &[String]) -> Result<Repro, String> {
         }
     }
     Ok(repro(name, scale, n, only))
-}
-
-/// Parses the value that follows `flag`.
-fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
-    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
 }
 
 /// The driver for the known artifact `name`; a `scale` of `None` takes the

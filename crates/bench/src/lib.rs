@@ -39,42 +39,8 @@ pub use experiments::{
 };
 pub use report::{default_out_dir, fmt_count, fmt_ms, markdown_table, write_csv, write_json};
 
-/// Parses `bench-smoke`'s `--scale`/`--full` flags; returns the scale
-/// factor.
-pub fn parse_scale(args: &[String], default_scale: f64) -> f64 {
-    let mut scale = default_scale;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--full" => scale = 1.0,
-            "--scale" => {
-                if let Some(v) = it.next() {
-                    scale = v.parse().unwrap_or_else(|_| {
-                        eprintln!("bad --scale value {v:?}, using {default_scale}");
-                        default_scale
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    scale
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
-    }
-
-    #[test]
-    fn scale_parsing() {
-        assert_eq!(parse_scale(&s(&[]), 0.05), 0.05);
-        assert_eq!(parse_scale(&s(&["--full"]), 0.05), 1.0);
-        assert_eq!(parse_scale(&s(&["--scale", "0.2"]), 0.05), 0.2);
-        assert_eq!(parse_scale(&s(&["--scale", "junk"]), 0.05), 0.05);
-        assert_eq!(parse_scale(&s(&["--scale", "0.2", "--full"]), 0.05), 1.0);
-    }
+/// Parses the value that follows `flag` on a command line.
+pub fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
 }

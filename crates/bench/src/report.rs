@@ -8,12 +8,11 @@ use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
-/// Where experiment artifacts land (workspace `results/`, overridable for
-/// tests).
+/// Where experiment artifacts land: `results/` under the working
+/// directory, so a binary run from the repo root writes into that
+/// checkout whichever checkout it was built from.
 pub fn default_out_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → workspace root is two up.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    root.join("results")
+    PathBuf::from("results")
 }
 
 /// Serializes `value` as pretty JSON into `<out_dir>/<name>.json`. The

@@ -18,10 +18,8 @@ mod batch;
 mod descriptor;
 mod dist;
 mod mass_spec;
-mod ragged;
 
 pub use batch::ArrayBatch;
 pub use descriptor::DatasetDescriptor;
 pub use dist::{adversarial_suite, rng_for, Arrangement, Distribution};
 pub use mass_spec::{generate_spectra, spectra_to_batch, MassSpecConfig, Spectrum, SpectrumKey};
-pub use ragged::{spectra_to_ragged, RaggedBatch};

@@ -1,57 +1,10 @@
-//! Cross-crate integration of the extension surfaces: pairs, ragged
-//! segments, the modern segmented-sort baseline and streams — all against
-//! each other and the CPU oracle.
+//! Cross-crate integration of the extension surfaces: generated spectra,
+//! the modern segmented-sort baseline and streams — all against each
+//! other and the CPU oracle.
 
-use array_sort::{sort_pairs, sort_ragged, GpuArraySort};
-use datagen::{generate_spectra, spectra_to_ragged, MassSpecConfig, RaggedBatch, SpectrumKey};
+use array_sort::GpuArraySort;
+use datagen::{generate_spectra, spectra_to_batch, MassSpecConfig, SpectrumKey};
 use gpu_sim::{DeviceSpec, Gpu};
-
-#[test]
-fn pair_sort_agrees_with_sta_pair_semantics() {
-    // STA's stable_sort_by_key on a single segment is a reference pair
-    // sorter; our three-phase pair pipeline must produce the same stable
-    // result per array.
-    let (num, n) = (30usize, 200usize);
-    let keys: Vec<f32> = (0..num * n).map(|i| ((i * 37) % 50) as f32).collect();
-    let vals: Vec<u32> = (0..(num * n) as u32).collect();
-
-    let mut gk = keys.clone();
-    let mut gv = vals.clone();
-    let mut gpu = Gpu::new(DeviceSpec::tesla_k40c());
-    sort_pairs(&GpuArraySort::new(), &mut gpu, &mut gk, &mut gv, n).unwrap();
-
-    // Reference: per segment, radix stable_sort_by_key on the device.
-    let mut rk = keys;
-    let mut rv = vals;
-    let mut gpu = Gpu::new(DeviceSpec::tesla_k40c());
-    for i in 0..num {
-        let mut kbuf = gpu.htod_copy(&rk[i * n..(i + 1) * n]).unwrap();
-        let mut vbuf = gpu.htod_copy(&rv[i * n..(i + 1) * n]).unwrap();
-        thrust_sim::stable_sort_by_key(&mut gpu, &mut kbuf, &mut vbuf).unwrap();
-        rk[i * n..(i + 1) * n].copy_from_slice(&kbuf.to_host_vec());
-        rv[i * n..(i + 1) * n].copy_from_slice(&vbuf.to_host_vec());
-    }
-    assert_eq!(gk, rk);
-    assert_eq!(gv, rv, "stable pair permutations agree");
-}
-
-#[test]
-fn ragged_and_fixed_agree_on_uniform_lengths() {
-    // A ragged batch with equal lengths must equal the fixed-size path.
-    let (num, n) = (40usize, 300usize);
-    let batch = datagen::ArrayBatch::paper_uniform(77, num, n);
-    let offsets: Vec<usize> = (0..=num).map(|i| i * n).collect();
-
-    let mut fixed = batch.clone().into_flat();
-    let mut gpu = Gpu::new(DeviceSpec::tesla_k40c());
-    GpuArraySort::new().sort(&mut gpu, &mut fixed, n).unwrap();
-
-    let mut ragged = batch.into_flat();
-    let mut gpu = Gpu::new(DeviceSpec::tesla_k40c());
-    sort_ragged(&GpuArraySort::new(), &mut gpu, &mut ragged, &offsets).unwrap();
-
-    assert_eq!(fixed, ragged);
-}
 
 #[test]
 fn segmented_baseline_agrees_with_gas_everywhere() {
@@ -73,29 +26,23 @@ fn segmented_baseline_agrees_with_gas_everywhere() {
 
 #[test]
 fn real_spectra_pipeline_end_to_end() {
-    // Generate spectra → ragged CSR → sort by m/z → verify against CPU.
+    // Generate spectra → fixed-size batch → sort by m/z → verify against CPU.
     let cfg = MassSpecConfig {
         peaks_per_spectrum: 600,
         ..Default::default()
     };
     let spectra = generate_spectra(0xE2E, 50, &cfg);
-    let mut ragged = spectra_to_ragged(&spectra, SpectrumKey::Mz);
-    let offsets = ragged.offsets().to_vec();
-    let mut expect = ragged.as_flat().to_vec();
+    let n = 600;
+    let mut data = spectra_to_batch(&spectra, SpectrumKey::Mz, n).into_flat();
+    let mut expect = data.clone();
 
     let mut gpu = Gpu::new(DeviceSpec::tesla_k40c());
-    sort_ragged(
-        &GpuArraySort::new(),
-        &mut gpu,
-        ragged.as_flat_mut(),
-        &offsets,
-    )
-    .unwrap();
+    GpuArraySort::new().sort(&mut gpu, &mut data, n).unwrap();
 
-    for w in offsets.windows(2) {
-        expect[w[0]..w[1]].sort_by(f32::total_cmp);
+    for array in expect.chunks_mut(n) {
+        array.sort_by(f32::total_cmp);
     }
-    assert_eq!(ragged.as_flat(), expect.as_slice());
+    assert_eq!(data, expect);
 }
 
 #[test]
@@ -147,25 +94,4 @@ fn streams_do_not_change_any_result() {
         streamed_ms <= serial_ms + 1e-9,
         "two streams must not be slower: {streamed_ms} vs {serial_ms}"
     );
-}
-
-#[test]
-fn ragged_generator_composes_with_out_of_core_idea() {
-    // Large ragged batch on the small device: chunks of the CSR batch are
-    // sorted independently (the ragged path is in-core here; this guards
-    // the CSR plumbing at scale).
-    let ragged = RaggedBatch::generate(9, 2_000, 10, 500, datagen::Distribution::PaperUniform);
-    let mut data = ragged.clone();
-    let offsets = data.offsets().to_vec();
-    let mut gpu = Gpu::new(DeviceSpec::tesla_k40c());
-    sort_ragged(&GpuArraySort::new(), &mut gpu, data.as_flat_mut(), &offsets).unwrap();
-    assert!(data.is_each_array_sorted());
-    // Multiset check on a few segments.
-    for i in [0usize, 7, 1999] {
-        let mut a: Vec<u32> = ragged.array(i).iter().map(|x| x.to_bits()).collect();
-        let mut b: Vec<u32> = data.array(i).iter().map(|x| x.to_bits()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "segment {i}");
-    }
 }

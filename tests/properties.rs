@@ -161,49 +161,6 @@ proptest! {
     }
 
     #[test]
-    fn pairs_preserve_binding_for_any_shape(
-        array_len in 1usize..200,
-        num_arrays in 1usize..12,
-        seed in any::<u64>(),
-    ) {
-        let total = array_len * num_arrays;
-        let mut keys = xorshift_floats(seed, total);
-        // Payload derived from keys: binding must survive the sort.
-        let mut vals: Vec<u32> = keys.iter().map(|k| k.to_bits() ^ 0xABCD).collect();
-        let mut gpu = device();
-        array_sort::sort_pairs(&GpuArraySort::new(), &mut gpu, &mut keys, &mut vals, array_len)
-            .unwrap();
-        prop_assert!(cpu_ref::is_each_sorted(&keys, array_len));
-        for (k, v) in keys.iter().zip(&vals) {
-            prop_assert_eq!(*v, k.to_bits() ^ 0xABCD, "binding broken");
-        }
-    }
-
-    #[test]
-    fn ragged_sorts_arbitrary_offset_shapes(
-        lens in proptest::collection::vec(0usize..300, 1..30),
-        seed in any::<u64>(),
-    ) {
-        let mut offsets = vec![0usize];
-        for l in &lens {
-            offsets.push(offsets.last().unwrap() + l);
-        }
-        let mut data = xorshift_floats(seed, *offsets.last().unwrap());
-        let original = data.clone();
-        let mut gpu = device();
-        array_sort::sort_ragged(&GpuArraySort::new(), &mut gpu, &mut data, &offsets).unwrap();
-        for w in offsets.windows(2) {
-            let seg = &data[w[0]..w[1]];
-            prop_assert!(seg.windows(2).all(|x| x[0] <= x[1]));
-            let mut a: Vec<u32> = original[w[0]..w[1]].iter().map(|x| x.to_bits()).collect();
-            let mut b: Vec<u32> = seg.iter().map(|x| x.to_bits()).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn merge_variant_always_agrees_with_gas(
         array_len in 1usize..250,
         num_arrays in 1usize..10,

@@ -4,9 +4,7 @@
 //! error-producing fault the device logged. This is the suite the CI
 //! chaos matrix fans out across `CHAOS_SEED`s.
 
-use array_sort::{
-    cpu_ref, sort_out_of_core_recovering, sort_ragged_with_recovery, GpuArraySort, RetryPolicy,
-};
+use array_sort::{cpu_ref, sort_out_of_core_recovering, GpuArraySort, RetryPolicy};
 use gpu_sim::{DeviceSpec, FaultPlan, Gpu};
 use proptest::prelude::*;
 
@@ -114,104 +112,6 @@ proptest! {
             retries + fallbacks,
             error_faults as u32,
             "attempts bookkeeping must match the fault log"
-        );
-    }
-}
-
-/// Sorts every `[offsets[i], offsets[i+1])` window under f32's total
-/// order — the host oracle for a ragged batch.
-fn ragged_oracle(data: &[f32], offsets: &[usize]) -> Vec<f32> {
-    let mut out = data.to_vec();
-    for w in offsets.windows(2) {
-        out[w[0]..w[1]].sort_by(|a, b| a.total_cmp(b));
-    }
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// The recovering ragged sorter must return the oracle answer bit
-    /// for bit under *any* fault plan — including empty segments — and
-    /// its report must reconcile with the injector log.
-    #[test]
-    fn ragged_recovery_yields_the_oracle_for_any_plan(
-        fault_seed in any::<u64>(),
-        data_seed in any::<u64>(),
-        launch in 0.0f64..0.35,
-        abort in 0.0f64..0.20,
-        corrupt in 0.0f64..0.20,
-        stall in 0.0f64..0.25,
-        lens in prop::collection::vec(0usize..96, 1..40),
-    ) {
-        let mut offsets = vec![0usize];
-        for l in &lens {
-            offsets.push(offsets.last().unwrap() + l);
-        }
-        let mut data = xorshift_floats(data_seed, *offsets.last().unwrap());
-        let oracle = ragged_oracle(&data, &offsets);
-
-        let plan = FaultPlan::seeded(fault_seed)
-            .with_launch_failure(launch)
-            .with_transfer_abort(abort)
-            .with_transfer_corruption(corrupt)
-            .with_stream_stall(stall, 0.3);
-        let mut gpu = Gpu::new(DeviceSpec::test_device());
-        gpu.set_fault_plan(Some(plan));
-        let (_, report) = sort_ragged_with_recovery(
-            &GpuArraySort::new(),
-            &mut gpu,
-            &mut data,
-            &offsets,
-            &RetryPolicy::default(),
-        )
-        .expect("cpu fallback makes ragged recovery infallible under injected faults");
-
-        prop_assert_eq!(
-            data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            oracle.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "ragged output must match the per-segment oracle"
-        );
-        let error_faults = gpu
-            .injected_faults()
-            .iter()
-            .filter(|f| f.kind.is_error())
-            .count();
-        prop_assert_eq!(
-            report.device_faults() as usize,
-            error_faults,
-            "every injected error fault must be accounted for"
-        );
-    }
-
-    /// With no faults installed the recovering ragged path must be a
-    /// clean single attempt — no retries, no fallback, no wasted time.
-    #[test]
-    fn ragged_recovery_is_transparent_without_faults(
-        data_seed in any::<u64>(),
-        lens in prop::collection::vec(0usize..64, 1..20),
-    ) {
-        let mut offsets = vec![0usize];
-        for l in &lens {
-            offsets.push(offsets.last().unwrap() + l);
-        }
-        let mut data = xorshift_floats(data_seed, *offsets.last().unwrap());
-        let oracle = ragged_oracle(&data, &offsets);
-        let mut gpu = Gpu::new(DeviceSpec::test_device());
-        let (stats, report) = sort_ragged_with_recovery(
-            &GpuArraySort::new(),
-            &mut gpu,
-            &mut data,
-            &offsets,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        prop_assert!(stats.is_some(), "clean run keeps its device stats");
-        prop_assert!(report.is_clean());
-        prop_assert_eq!(report.wasted_ms(), 0.0);
-        prop_assert_eq!(
-            data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            oracle.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
     }
 }
