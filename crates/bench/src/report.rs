@@ -162,6 +162,45 @@ mod tests {
         assert_eq!(fs::read_to_string(&path).unwrap(), "old bytes\n");
     }
 
+    /// A committed artifact under the repo's `results/`.
+    fn committed(file: &str) -> String {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results")
+            .join(file);
+        fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// Parses a committed artifact as `T` and writes it back through
+    /// [`write_json`]: the text must be the committed file, byte for byte.
+    fn rewrite_matches<T: serde::de::DeserializeOwned + Serialize>(name: &str) {
+        let file = format!("{name}.json");
+        let expected = committed(&file);
+        let rows: T = serde_json::from_str(&expected).unwrap();
+        let dir = std::env::temp_dir().join("gas_report_rewrite_test");
+        let written = fs::read_to_string(write_json(&dir, name, &rows).unwrap()).unwrap();
+        assert!(written == expected, "{file} rewrites as\n{written}");
+    }
+
+    #[test]
+    fn the_writer_reproduces_committed_artifacts_byte_for_byte() {
+        use crate::experiments::{DeviceSweepRow, Table1Row};
+        rewrite_matches::<Vec<Table1Row>>("table1");
+        // `sms` precedes `gas_kernel_ms` in the file, as in the struct:
+        // fields are written in declaration order, not sorted.
+        rewrite_matches::<Vec<DeviceSweepRow>>("device_sweep");
+    }
+
+    #[test]
+    fn fig2_written_before_the_fused_series_reads_them_as_zero() {
+        let report: crate::experiments::Fig2Report =
+            serde_json::from_str(&committed("fig2.json")).unwrap();
+        assert!(!report.rows.is_empty());
+        for row in &report.rows {
+            assert_eq!((row.fused_ms, row.warp_ms), (0.0, 0.0), "n = {}", row.n);
+            assert!(row.measured_ms > 0.0, "n = {}", row.n);
+        }
+    }
+
     #[test]
     fn json_and_csv_round_trip() {
         let dir = std::env::temp_dir().join("gas_report_test");

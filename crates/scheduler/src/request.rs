@@ -275,15 +275,12 @@ impl Workload {
     /// Parses a workload from JSON: either `{"requests": [...]}` or a
     /// bare request array.
     pub fn from_json(body: &str) -> Result<Self, String> {
-        let as_workload: Result<Workload, _> = serde_json::from_str(body);
-        if let Ok(w) = as_workload {
-            return Ok(w);
-        }
-        let as_list: Result<Vec<SortRequest>, _> = serde_json::from_str(body);
-        match as_list {
-            Ok(requests) => Ok(Workload { requests }),
-            Err(e) => Err(format!("cannot parse workload: {e}")),
-        }
+        let parsed = if body.trim_start().starts_with('[') {
+            serde_json::from_str(body).map(|requests| Workload { requests })
+        } else {
+            serde_json::from_str(body)
+        };
+        parsed.map_err(|e| format!("cannot parse workload: {e}"))
     }
 
     /// Serializes the workload as pretty JSON.
